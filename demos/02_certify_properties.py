@@ -2,8 +2,8 @@
 
 Each property is checked with exact rational arithmetic — containments
 and equalities are zero-tolerance symmetric-difference computations, not
-numerics.  The one empirical check (orbitwise attraction into the top
-triangle) says so in its witness line.
+numerics.  Even attraction into the top triangle is certified from the
+piece matrices rather than sampled along orbits.
 """
 
 from pam import serialize_reports, standard_map, verify_map

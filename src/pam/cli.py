@@ -44,7 +44,7 @@ from .symbolic import (
     drift_check,
     iterate,
 )
-from .entropy import LOG2, escape_stats, sigma_entropy
+from .entropy import LOG2, escape_stats
 from .figures import FigureSpec, UnknownFigure, render_figure
 
 __all__ = ["main"]

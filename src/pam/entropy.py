@@ -9,8 +9,9 @@ equivalently, the prefix-sum walk (started at 0) has range at most 2M.
 Three layers live here:
 
 * counting — `block_entropy` for balanced blocks, `word_count` /
-  `sigma_entropy` for the bounded-walk language and its growth rate
-  (power iteration on the 2M+1-state transfer structure);
+  `sigma_entropy` for the bounded-walk language and its growth rate,
+  both in closed form on the 2M+1-vertex path that carries the walk
+  (exact path-walk counts; Perron root 2cos(π/(2M+2)));
 
 * the finite extension — `build_skew` produces the walk automaton whose
   state is the current level s ∈ {−M..M}; its projection language is the
@@ -35,8 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .geometry import Point
 from .mapmodel import PiecewiseAffineMap
 
@@ -47,8 +46,6 @@ __all__ = [
     "block_entropy",
     "word_count",
     "sigma_entropy",
-    "WalkShift",
-    "walk_shift",
     "SkewSystem",
     "build_skew",
     "Cycle",
@@ -104,87 +101,43 @@ def _increments(word: Sequence[int]) -> List[int]:
     return [2 * c - 1 for c in letters]
 
 
+def _path_walks(size: int, n: int) -> int:
+    """Number of length-n walks on the path with `size` vertices, over
+    every start vertex: 1ᵀAⁿ1 for the path's adjacency matrix A."""
+    counts = [1] * size
+    for _ in range(n):
+        counts = [a + b for a, b in zip([0] + counts[:-1], counts[1:] + [0])]
+    return sum(counts)
+
+
 def word_count(m_bound: int, n: int) -> int:
     """Number of length-n words whose prefix-sum walk has range ≤ 2M.
 
-    Exact dynamic programming over the pair (distance to the running
-    minimum, distance to the running maximum); their sum is the range.
+    A word of range r lifts to max(0, L − r) walks on the L-vertex path
+    (the fiber size of the skew extension), so the walks on 2M+1
+    vertices minus the walks on 2M vertices count each word of range
+    ≤ 2M exactly once.  Exact integers, O(n·M) additions.
     """
     if m_bound < 1:
         raise ValueError("need M >= 1")
     if n < 1:
         raise ValueError("need n >= 1")
-    span = 2 * m_bound
-    counts: Dict[Tuple[int, int], int] = {(0, 0): 1}
-    for _ in range(n):
-        nxt: Dict[Tuple[int, int], int] = {}
-        for (a, b), c in counts.items():
-            # a = position − min, b = max − position
-            for a2, b2 in ((a + 1, max(b - 1, 0)), (max(a - 1, 0), b + 1)):
-                if a2 + b2 <= span:
-                    key = (a2, b2)
-                    nxt[key] = nxt.get(key, 0) + c
-        counts = nxt
-    return sum(counts.values())
+    return _path_walks(2 * m_bound + 1, n) - _path_walks(2 * m_bound, n)
 
 
-@dataclass(frozen=True)
-class WalkShift:
-    """Transfer structure of the bounded walk: levels −M..M, moves ±1."""
-
-    m_bound: int
-    states: Tuple[int, ...]
-    transfer: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def state_count(self) -> int:
-        return len(self.states)
-
-
-def walk_shift(m_bound: int) -> WalkShift:
+def _angle(m_bound: int) -> float:
+    """π/(2M+2): the transfer structure of the levels −M..M is the path
+    on 2M+1 vertices, with Perron root 2cos of this angle and Perron
+    vector entries sin(k·angle), k = 1..2M+1."""
     if m_bound < 1:
         raise ValueError("need M >= 1")
-    states = tuple(range(-m_bound, m_bound + 1))
-    if not states:
-        raise ConstructionEmpty("no walk states")
-    size = len(states)
-    transfer = tuple(
-        tuple(1 if abs(i - j) == 1 else 0 for j in range(size)) for i in range(size)
-    )
-    return WalkShift(m_bound, states, transfer)
-
-
-def _perron(shift: WalkShift, tol: float = 1e-12, cap: int = 100_000):
-    """Spectral radius and Perron vector of the transfer structure.
-
-    Power iteration on (transfer + identity): the transfer matrix itself
-    is bipartite, so the plain iteration would bounce between the two
-    level classes; the shift removes that without moving the eigenvector.
-    """
-    a = np.array(shift.transfer, dtype=float)
-    b = a + np.eye(shift.state_count)
-    v = np.ones(shift.state_count)
-    v /= np.linalg.norm(v)
-    rho = 0.0
-    for _ in range(cap):
-        w = b @ v
-        nxt = float(v @ w)  # Rayleigh quotient of b at the unit vector v
-        w /= np.linalg.norm(w)
-        settled = abs(nxt - rho) <= tol and float(np.abs(w - v).max()) <= tol
-        v, rho = w, nxt
-        if settled:
-            break
-    lam = rho - 1.0
-    if lam <= 0:
-        raise EntropyError("power iteration lost the spectral radius")
-    return lam, v
+    return math.pi / (2 * m_bound + 2)
 
 
 def sigma_entropy(m_bound: int) -> float:
     """Topological entropy of the bounded-walk language: log of the
-    spectral radius of the 2M+1-level transfer structure."""
-    lam, _ = _perron(walk_shift(m_bound))
-    return math.log(lam)
+    spectral radius 2cos(π/(2M+2)) of the 2M+1-level path."""
+    return math.log(2.0 * math.cos(_angle(m_bound)))
 
 
 # ---------------------------------------------------------------------------
@@ -579,39 +532,46 @@ class StationaryStats:
     expected_log2_y: float
 
 
+def _levels_below(delta: float) -> int:
+    """Largest integer e with 2^e < δ, exactly, for a positive float δ."""
+    mantissa, exponent = math.frexp(delta)  # δ = mantissa·2^exponent
+    return exponent - 2 if mantissa == 0.5 else exponent - 1
+
+
 def escape_stats(m_bound: int, deltas: Iterable[float] = (1e-3,)) -> StationaryStats:
     """Stationary law of the maximal-entropy chain, pushed to heights.
 
-    The transfer structure is symmetric, so the stationary probability of
-    a level is the square of its Perron-vector entry; level s sits at
-    height y = y_cap·2^(s−M).
+    The transfer structure is the symmetric path, so the stationary
+    probability of a level is the square of its Perron-vector entry,
+    sin²(k·π/(2M+2)) for k = 1..2M+1, normalized.  Level s sits at height
+    y = y_cap·2^(s−M) = 2^e with the integer exponent e = s − M − 1, so
+    P(y < δ) is a threshold on levels and E[log2 y] needs no float y.
     """
-    shift = walk_shift(m_bound)
-    lam, vec = _perron(shift)
-    weights = vec * vec
-    dist = weights / weights.sum()
-    if abs(float(dist.sum()) - 1.0) > 1e-12:
+    angle = _angle(m_bound)
+    size = 2 * m_bound + 1
+    weights = [math.sin(k * angle) ** 2 for k in range(1, size + 1)]
+    total = math.fsum(weights)
+    dist = [w / total for w in weights]
+    if abs(math.fsum(dist) - 1.0) > 1e-12:
         raise EntropyError("stationary distribution failed to normalize")
     if any(p < 0 for p in dist):
         raise EntropyError("stationary distribution has a negative entry")
-    entropy = math.log(lam)
+    entropy = sigma_entropy(m_bound)
     if entropy > LOG2 + 1e-12:
         raise EntropyError("entropy exceeded log 2")
 
-    heights = [_level_height(m_bound, s) for s in shift.states]
+    # list index i = 0..2M (level s = i − M) has exponent e = i − 2M − 1;
+    # the levels with y < δ are the indices below `cut`
+    exponents = range(-size, 0)
     p_below = []
-    for delta in deltas:
-        bound = Fraction(delta)
-        p_below.append(
-            (float(delta), float(sum(p for p, y in zip(dist, heights) if y < bound)))
-        )
-    expected = float(
-        sum(p * (math.log2(float(y))) for p, y in zip(dist, heights))
-    )
+    for delta in map(float, deltas):
+        cut = _levels_below(delta) + size + 1 if delta > 0 else 0
+        p_below.append((delta, math.fsum(dist[: max(cut, 0)])))
+    expected = math.fsum(p * e for p, e in zip(dist, exponents))
     return StationaryStats(
         m_bound=m_bound,
         entropy=entropy,
-        distribution=tuple(float(p) for p in dist),
+        distribution=tuple(dist),
         p_below=tuple(p_below),
         expected_log2_y=expected,
     )

@@ -14,9 +14,9 @@ text labels upright.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .geometry import ConvexPolygon, Point
 from .mapmodel import PiecewiseAffineMap

@@ -102,16 +102,6 @@ class Point(NamedTuple):
         return f"({format_rational(self.x)}, {format_rational(self.y)})"
 
 
-def lerp(p: Point, q: Point, t: RationalLike) -> Point:
-    """Point ``p + t*(q - p)`` on the line through p and q."""
-    t = _rat(t)
-    return Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
-
-
-def midpoint(p: Point, q: Point) -> Point:
-    return lerp(p, q, Fraction(1, 2))
-
-
 # --------------------------------------------------------------------------
 # homogeneous integer layer
 #

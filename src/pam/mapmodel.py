@@ -10,11 +10,11 @@ map interpolating its three vertex images.
 
 Because all vertex images are single-valued, any edge-to-edge
 triangulation of the vertex set yields a *globally continuous* map.
-The triangulation itself is not uniquely determined, so
-`reconstruct_triangulation` fixes the forced parts (fans over collinear
-rows) and searches the remaining diagonal choices deterministically
-until the built map passes a screen of region-mapping identities; the
-build report's `deviations` list records what stayed ambiguous.
+The triangulation is not uniquely determined by the vertex table, so
+the bundled definition (`standard.map`) fixes it, and `build_map`
+validation is the authority on whether a definition is acceptable; the
+build report's `deviations` list records where it departs from the
+usual drawing.
 
 `build_map` validates everything with zero tolerance: coverage of Q,
 pairwise-disjoint interiors, exact continuity across shared boundary
@@ -23,7 +23,6 @@ segments, vertex-image fidelity, and images inside Q.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,13 +33,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .geometry import (
     AffineMap,
     ConvexPolygon,
+    GeometryError,
     Point,
     affine_from_point_pairs,
     clip,
     format_rational,
-    intersection_area,
     parse_rational,
-    region_area,
     symdiff_area,
     _hpoint,
     _hside,
@@ -54,13 +52,11 @@ __all__ = [
     "CoverageViolation",
     "ImageOutsideDomain",
     "NonInvertiblePiece",
-    "ReconstructionFailed",
     "VertexTable",
     "AffinePiece",
     "PiecewiseAffineMap",
     "MapData",
     "generate_vertices",
-    "reconstruct_triangulation",
     "build_map",
     "parse_definition",
     "serialize_definition",
@@ -99,10 +95,6 @@ class NonInvertiblePiece(MapModelError):
     """A degenerate piece blocks an exact preimage computation."""
 
 
-class ReconstructionFailed(MapModelError):
-    """No searched triangulation passed validation."""
-
-
 # --------------------------------------------------------------------------
 # vertex tables
 
@@ -127,32 +119,6 @@ _LINES: Dict[str, Tuple[Fraction, str]] = {
 
 _N = Point(Fraction(0), Fraction(2))
 _S = Point(Fraction(0), Fraction(0))
-
-# image of every partition vertex: the base row folds onto the y = 3/2
-# row, the y = 4/5 row maps back up to the base row, and the y = 1/2 row
-# spreads across everything; N and S are fixed
-_VERTEX_IMAGES: Dict[str, str] = {
-    "N": "N",
-    "S": "S",
-    "W": "W^u",
-    "A": "A^u",
-    "B": "D^u",
-    "O": "E^u",
-    "C": "D^u",
-    "D": "A^u",
-    "E": "W^u",
-    "W^t": "W",
-    "A^t": "A",
-    "B^t": "D",
-    "O^t": "E",
-    "W^c": "W^c",
-    "A^c": "A^b",
-    "B^c": "D^b",
-    "O^c": "E^c",
-    "C^c": "D",
-    "D^c": "A",
-    "E^c": "W",
-}
 
 # the partition is usually drawn with 26 triangles; an edge-to-edge
 # triangulation on every table vertex forces 31 (Euler count), which the
@@ -187,9 +153,6 @@ class VertexTable:
 
     def polygon(self, names: Iterable[str]) -> ConvexPolygon:
         return ConvexPolygon([self.points[n] for n in names])
-
-    def region(self, compact: str) -> ConvexPolygon:
-        return self.polygon(parse_vertex_names(compact))
 
 
 def _domain_polygon() -> ConvexPolygon:
@@ -396,7 +359,10 @@ class MapData:
         missing = [n for n in self.domain_names if n not in self.vertices]
         if missing:
             raise MapDefinitionError(f"domain vertices undefined: {missing}")
-        return ConvexPolygon([self.vertices[n] for n in self.domain_names])
+        try:
+            return ConvexPolygon([self.vertices[n] for n in self.domain_names])
+        except GeometryError as exc:
+            raise MapDefinitionError(f"domain {' '.join(self.domain_names)}: {exc}") from exc
 
 
 def _assemble(data: MapData, deviations: Sequence[str] = ()) -> PiecewiseAffineMap:
@@ -409,10 +375,14 @@ def _assemble(data: MapData, deviations: Sequence[str] = ()) -> PiecewiseAffineM
                 f"triangle {name}: no image given for {', '.join(missing)}"
             )
         corners = [data.vertices[n] for n in corner_names]
-        fmap = affine_from_point_pairs(
-            [(c, data.images[n]) for c, n in zip(corners, corner_names)]
-        )
-        pieces.append(AffinePiece(name, corner_names, ConvexPolygon(corners), fmap))
+        try:
+            fmap = affine_from_point_pairs(
+                [(c, data.images[n]) for c, n in zip(corners, corner_names)]
+            )
+            polygon = ConvexPolygon(corners)
+        except GeometryError as exc:
+            raise MapDefinitionError(f"triangle {name}: {exc}") from exc
+        pieces.append(AffinePiece(name, corner_names, polygon, fmap))
     return PiecewiseAffineMap(
         domain,
         pieces,
@@ -422,140 +392,6 @@ def _assemble(data: MapData, deviations: Sequence[str] = ()) -> PiecewiseAffineM
         data.domain_names,
         deviations,
     )
-
-
-# --------------------------------------------------------------------------
-# triangulation reconstruction
-
-
-def _fan(apex: str, rim: Sequence[str]) -> List[Tuple[str, ...]]:
-    return [(apex, rim[i], rim[i + 1]) for i in range(len(rim) - 1)]
-
-
-def _quad_options(tl: str, tr: str, br: str, bl: str) -> List[List[Tuple[str, ...]]]:
-    # two triangulations of the quad (corners clockwise from top left);
-    # option 0 cuts along bottom-left -> top-right
-    return [
-        [(bl, br, tr), (bl, tr, tl)],
-        [(bl, br, tl), (br, tr, tl)],
-    ]
-
-
-def _collinear(a: Point, b: Point, c: Point) -> bool:
-    return (b.x - a.x) * (c.y - a.y) == (c.x - a.x) * (b.y - a.y)
-
-
-def _fan_options(cycle: Sequence[str], vt: VertexTable) -> List[List[Tuple[str, ...]]]:
-    """All non-degenerate fan triangulations of a convex cycle that may
-    contain mid-edge (collinear) vertices.  Mid-edge apexes come first:
-    they are the vertices that force the region to be refined at all."""
-    n = len(cycle)
-    pts = [vt[name] for name in cycle]
-    mid_edge = [_collinear(pts[i - 1], pts[i], pts[(i + 1) % n]) for i in range(n)]
-    apex_order = [i for i in range(n) if mid_edge[i]] + [
-        i for i in range(n) if not mid_edge[i]
-    ]
-    options = []
-    for i in apex_order:
-        rim = [cycle[(i + k) % n] for k in range(1, n)]
-        tris = _fan(cycle[i], rim)
-        if all(not _collinear(vt[a], vt[b], vt[c]) for a, b, c in tris):
-            options.append(tris)
-    return options
-
-
-def _covered(parts: Sequence[ConvexPolygon], cover: Sequence[ConvexPolygon]) -> bool:
-    """True iff the union of `parts` lies in the union of `cover` up to
-    measure zero."""
-    return region_area(parts) == intersection_area(parts, cover)
-
-
-def _screen(candidate: PiecewiseAffineMap, vt: VertexTable) -> bool:
-    """Cheap region-identity screen used to pick among triangulations.
-
-    Checks the mapping facts the partition exists to realize: the two
-    coding triangles map exactly onto the large triangle over the base
-    row, the central sectors fold into the right half plus the top
-    (give or take the documented central quad), and each half hands its
-    points to the left half plus the top.
-    """
-    big = vt.polygon(["A", "D", "S"])
-    top = vt.region("NWE")
-    right_half = vt.region("DES")
-    left_half = vt.region("WAS")
-    central_slack = vt.region("OO^cC^cC")
-    for tri in ("A^tB^tS", "C^cD^cS"):
-        if symdiff_area(candidate.region_image(vt.region(tri)), [big]) != 0:
-            return False
-    checks = [
-        ("BOS", [right_half, top]),
-        ("OSC", [right_half, top, central_slack]),
-        ("WAS", [left_half, top]),
-        ("DES", [left_half, top]),
-    ]
-    return all(
-        _covered(candidate.region_image(vt.region(reg)), cover)
-        for reg, cover in checks
-    )
-
-
-def _piece_name(names: Tuple[str, ...]) -> str:
-    return "".join(names)
-
-
-def reconstruct_triangulation(
-    vt: Optional[VertexTable] = None,
-) -> List[Tuple[str, Tuple[str, str, str]]]:
-    """Deterministically reconstruct the triangulation of Q, as named
-    triangles in piece order.
-
-    Fans over the collinear rows (apex N on top, apex S at the bottom)
-    are forced.  The strip quads and the one five-vertex region next to
-    the x = 0 line have genuine choices; they are enumerated in a fixed
-    order and screened by `_screen` plus full `build_map` validation,
-    and the first candidate that passes wins, so the result is
-    reproducible.  Raises ReconstructionFailed if nothing passes.
-    """
-    if vt is None:
-        vt = generate_vertices()
-    images = {n: vt[t] for n, t in _VERTEX_IMAGES.items()}
-    image_names = dict(_VERTEX_IMAGES)
-
-    top_fan = _fan("N", list(_BASE_ORDER))
-    bottom_fan = [
-        (b, c, a) for (a, b, c) in _fan("S", [f"{m}^c" for m in _BASE_ORDER])
-    ]
-
-    choice_groups: List[List[List[Tuple[str, ...]]]] = []
-    for left, right in zip("WAB", "ABO"):
-        choice_groups.append(_quad_options(left, right, f"{right}^t", f"{left}^t"))
-    for left, right in zip("WAB", "ABO"):
-        choice_groups.append(
-            _quad_options(f"{left}^t", f"{right}^t", f"{right}^c", f"{left}^c")
-        )
-    choice_groups.append(_fan_options(["O^c", "C^c", "C", "O", "O^t"], vt))
-    for left, right in zip("CD", "DE"):
-        choice_groups.append(_quad_options(left, right, f"{right}^c", f"{left}^c"))
-
-    for combo in itertools.product(*choice_groups):
-        triangles = list(top_fan)
-        for group in combo:
-            triangles.extend(group)
-        triangles.extend(bottom_fan)
-        named = [(_piece_name(t), t) for t in triangles]
-        data = MapData.from_parts(vt.points, named, images, image_names)
-        try:
-            candidate = _assemble(data)
-        except MapModelError:
-            continue
-        if not _screen(candidate, vt):
-            continue
-        try:
-            build_map(data)
-        except MapModelError:
-            continue
-        return named
-    raise ReconstructionFailed("no searched triangulation passed validation")
 
 
 # --------------------------------------------------------------------------

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from .geometry import AffineMap, ConvexPolygon, Point, clip, region_area
+from .geometry import AffineMap, ConvexPolygon, Point, clip
 from .mapmodel import OutsideDomain, PiecewiseAffineMap
 
 __all__ = [

@@ -5,9 +5,7 @@ asserted through symmetric-difference areas, matrices through equality,
 spectra through the exact eigensolver.  Each `verify_*` operation
 returns a `PropertyReport` whose witnesses pin the claim to concrete
 polygons, points and matrices, so a failure is always reproducible from
-the report alone.  The one deliberately non-exact check — convergence
-of sampled orbits toward the top vertex — is labelled "empirical" in
-its report.
+the report alone.
 
 `verify_map` runs the whole battery and returns the reports sorted by
 their (stable) ids; `serialize_reports` renders them as deterministic
@@ -37,7 +35,6 @@ from .mapmodel import PiecewiseAffineMap, standard_map
 __all__ = [
     "VerifierError",
     "ZeroUpperLeftEntry",
-    "AttractionBudgetExceeded",
     "ConeSpec",
     "ConeCertificate",
     "PropertyReport",
@@ -64,10 +61,6 @@ class VerifierError(Exception):
 
 class ZeroUpperLeftEntry(VerifierError):
     """Cone certificate undefined: the matrix kills the horizontal."""
-
-
-class AttractionBudgetExceeded(VerifierError):
-    """A sampled orbit failed to approach N within the iteration budget."""
 
 
 # the four distinguished pieces whose matrices drive properties 3-7,
@@ -210,6 +203,15 @@ def _poly_str(poly: ConvexPolygon) -> str:
     return " ".join(str(v) for v in poly.vertices)
 
 
+def _pieces_inside(t: PiecewiseAffineMap, region: ConvexPolygon):
+    """The pieces whose domain lies in `region`, up to measure zero."""
+    return [
+        p
+        for p in t.pieces
+        if intersection_area([p.domain], [region]) == p.domain.area
+    ]
+
+
 def _table_pieces(t: PiecewiseAffineMap):
     return [(label, t.piece_with_corners(label)) for label in TABLE_PIECES]
 
@@ -238,20 +240,15 @@ def verify_fixed_points(t: PiecewiseAffineMap) -> PropertyReport:
     return chk.report("01-fixed-points", "poles and the fixed segment")
 
 
-def _iterate_to_pole(
-    t: PiecewiseAffineMap, p: Point, tol: Fraction, budget: int
-) -> int:
-    pole = t.vertices["N"]
-    q = p
-    for step in range(budget + 1):
-        if max(abs(q.x - pole.x), abs(q.y - pole.y)) < tol:
-            return step
-        q = t.evaluate(q)
-    raise AttractionBudgetExceeded(str(p))
-
-
 def verify_top_attraction(t: PiecewiseAffineMap) -> PropertyReport:
-    """The top triangle is forward invariant and its orbits approach N."""
+    """The top triangle is forward invariant and contracts onto N.
+
+    The certificate is read from the matrices: the pieces tiling NWE all
+    send y to 1 + y/2, so 2 − y halves exactly at every step, and NWE
+    sits in the wedge |x| <= (3/2)(2 − y) below N with 2 − y <= 1.
+    Together with forward invariance this bounds every orbit of NWE by
+    ‖Tᵏp − N‖∞ <= (3/2)·2⁻ᵏ.
+    """
     chk = _Check()
     top = t.region("NWE")
     base_images_up = True
@@ -272,32 +269,32 @@ def verify_top_attraction(t: PiecewiseAffineMap) -> PropertyReport:
         "T(NWE) ⊆ NWE (forward invariance, exact)",
     )
 
-    tol = Fraction(1, 10**6)
-    budget = 500
-    worst = 0
-    tried = 0
-    witness_fail = None
-    for i in range(20):
-        for j in range(20):
-            p = Point(Fraction(-3, 2) + Fraction(3 * i, 19), 1 + Fraction(j, 19))
-            if not top.contains(p):
-                continue
-            tried += 1
-            try:
-                worst = max(worst, _iterate_to_pole(t, p, tol, budget))
-            except AttractionBudgetExceeded:
-                witness_fail = p
-    if witness_fail is not None:
-        chk.expect(False, "sampled orbits reach N", f"stalled at {witness_fail}")
-    else:
+    inside = _pieces_inside(t, top)
+    chk.expect(
+        symdiff_area([p.domain for p in inside], [top]) == 0,
+        f"NWE is tiled by {len(inside)} pieces (symmetric difference 0): "
+        + ", ".join(p.name for p in inside),
+    )
+    for piece in inside:
+        m = piece.map
         chk.expect(
-            True,
-            f"all {tried} grid samples of NWE come within 10^-6 of N "
-            f"(worst case {worst} steps, budget {budget})",
+            (m.linear.c, m.linear.d, m.translation[1]) == (0, Fraction(1, 2), 1),
+            f"{piece.name}: bottom row (0, 1/2), y-translation 1, "
+            f"so 2 − y halves exactly",
+            f"bottom row ({format_rational(m.linear.c)}, "
+            f"{format_rational(m.linear.d)}), y-translation "
+            f"{format_rational(m.translation[1])}",
         )
-    chk.note(
-        "attraction is checked empirically: forward invariance is exact, "
-        "convergence is sampled on a rational grid with a step budget"
+    # NWE and both bounds are convex, so the corners decide
+    wedge = [v for v in top.vertices if abs(v.x) > Fraction(3, 2) * (2 - v.y)]
+    chk.expect(
+        not wedge and all(v.y >= 1 for v in top.vertices),
+        "NWE ⊆ {|x| <= (3/2)(2 − y)} and 2 − y <= 1 on NWE",
+        f"corners outside: {', '.join(str(v) for v in wedge)}",
+    )
+    chk.expect(
+        not chk.failed,
+        "‖Tᵏp − N‖∞ <= (3/2)·2⁻ᵏ for every p ∈ NWE and k >= 0",
     )
     return chk.report("02-top-attraction", "absorption into the top triangle")
 
@@ -322,11 +319,7 @@ def verify_y_factors(t: PiecewiseAffineMap) -> PropertyReport:
     triangle, and the exact factor 2 on the right one."""
     chk = _Check()
     region = t.region("A^tB^tS")
-    inside = [
-        p
-        for p in t.pieces
-        if intersection_area([p.domain], [region]) == p.domain.area
-    ]
+    inside = _pieces_inside(t, region)
     chk.expect(
         len(inside) == 3,
         f"A^tB^tS is tiled by {len(inside)} pieces: "
@@ -543,11 +536,7 @@ def analyze_WAS(t: PiecewiseAffineMap) -> PropertyReport:
 
     _, preimage, _, _ = _preimage_parts(t)
     pocket = t.region("WW^tA^tA")
-    swallowed = [
-        p
-        for p in t.pieces
-        if intersection_area([p.domain], [pocket]) == p.domain.area
-    ]
+    swallowed = _pieces_inside(t, pocket)
     names = ", ".join(p.name for p in swallowed)
     chk.expect(
         len(swallowed) == 2,

@@ -103,6 +103,32 @@ def test_build_reports_discontinuity_witness(capsys, tmp_path):
     assert "shared edge" in err
 
 
+def test_build_rejects_collinear_triangle(capsys, tmp_path):
+    text = standard_definition_text().replace(
+        "triangle NWA N W A\n", "triangle NWA N W A\ntriangle bad W A B\n", 1
+    )
+    assert "triangle bad" in text
+    path = tmp_path / "collinear.map"
+    path.write_text(text)
+    code, out, err = run(capsys, ["build", "--map", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("MapDefinitionError: triangle bad:")
+    assert "collinear" in err
+
+
+def test_build_rejects_degenerate_domain(capsys, tmp_path):
+    path = tmp_path / "flat.map"
+    path.write_text(
+        "vertex a 0 0\nvertex b 1 0\nvertex c 2 0\nvertex d 3 0\nvertex e 0 1\n"
+        "domain a b c d\ntriangle abe a b e\nimage a a\nimage b b\nimage e e\n"
+    )
+    code, _, err = run(capsys, ["build", "--map", str(path)])
+    assert code == 2
+    assert err.startswith("MapDefinitionError: domain a b c d:")
+
+
 # -- verify ------------------------------------------------------------------
 
 

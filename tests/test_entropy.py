@@ -1,11 +1,15 @@
 """Tests for the bounded-walk entropy lab and the exact orbit embeddings."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+import pam
 from pam.mapmodel import standard_map
 from pam.symbolic import coding_triangles, iterate
 from pam.entropy import (
@@ -20,7 +24,6 @@ from pam.entropy import (
     make_cycle,
     paper_iota,
     sigma_entropy,
-    walk_shift,
     word_count,
 )
 
@@ -89,6 +92,26 @@ def test_word_count_matches_brute_force(n):
         assert word_count(m_bound, n) == int((ranges <= 2 * m_bound).sum())
 
 
+def range_dp_count(m_bound: int, n: int) -> int:
+    """Reference count by dynamic programming over (position − running
+    minimum, running maximum − position); their sum is the walk range."""
+    counts = {(0, 0): 1}
+    for _ in range(n):
+        nxt = {}
+        for (a, b), c in counts.items():
+            for key in ((a + 1, max(b - 1, 0)), (max(a - 1, 0), b + 1)):
+                if sum(key) <= 2 * m_bound:
+                    nxt[key] = nxt.get(key, 0) + c
+        counts = nxt
+    return sum(counts.values())
+
+
+def test_word_count_matches_range_dp():
+    for m_bound in range(1, 7):
+        for n in range(1, 40):
+            assert word_count(m_bound, n) == range_dp_count(m_bound, n), (m_bound, n)
+
+
 def test_word_count_nested_in_the_bound():
     for n in range(1, 17):
         for m_bound in range(1, 8):
@@ -123,19 +146,37 @@ def test_sigma_entropy_matches_word_count_growth():
         assert abs(growth - sigma_entropy(m_bound)) < 0.01
 
 
-def test_walk_shift_structure():
-    shift = walk_shift(2)
-    assert shift.states == (-2, -1, 0, 1, 2)
-    assert shift.state_count == 5
-    for i in range(5):
-        for j in range(5):
-            assert shift.transfer[i][j] == (1 if abs(i - j) == 1 else 0)
-    with pytest.raises(ValueError):
-        walk_shift(0)
+@pytest.mark.parametrize("m_bound", range(1, 65))
+def test_spectrum_matches_eigensolver(m_bound):
+    # independent oracle: a dense symmetric eigensolver on the adjacency
+    # matrix of the 2M+1-vertex path
+    size = 2 * m_bound + 1
+    adjacency = np.eye(size, k=1) + np.eye(size, k=-1)
+    oracle = math.log(np.linalg.eigvalsh(adjacency)[-1])
+    _, vectors = np.linalg.eigh(adjacency)
+    law = vectors[:, -1] ** 2
+    law /= law.sum()
+    stats = escape_stats(m_bound)
+    assert sigma_entropy(m_bound) == pytest.approx(oracle, abs=1e-12)
+    assert stats.entropy == pytest.approx(oracle, abs=1e-12)
+    for got, want in zip(stats.distribution, law):
+        assert got == pytest.approx(float(want), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
 # the skew extension
+
+
+def test_skew_transitions_form_the_path():
+    skew = build_skew(2)
+    assert skew.states == (-2, -1, 0, 1, 2)
+    assert skew.state_count == 5
+    for s in skew.states:
+        for s2 in skew.states:
+            linked = any(skew.step(s, letter) == s2 for letter in (0, 1))
+            assert linked == (abs(s - s2) == 1)
+    with pytest.raises(ValueError):
+        build_skew(0)
 
 
 def test_skew_basic_structure():
@@ -303,6 +344,13 @@ def test_escape_stats_three_level_law():
     assert stats.expected_log2_y == pytest.approx(-2.0, abs=1e-9)
 
 
+def test_escape_thresholds_are_strict_at_level_heights():
+    # M = 1: heights 1/8, 1/4, 1/2 carry mass 1/4, 1/2, 1/4
+    stats = escape_stats(1, (0.125, 0.1250001, 0.25, 0.5, 0.5000001))
+    probs = [p for _, p in stats.p_below]
+    assert probs == pytest.approx([0.0, 0.25, 0.25, 0.75, 1.0], abs=1e-12)
+
+
 @pytest.mark.parametrize("m_bound", [2, 5])
 def test_escape_distribution_matches_sine_profile(m_bound):
     stats = escape_stats(m_bound)
@@ -336,3 +384,29 @@ def test_escape_stats_delta_ladder():
     probs = [p for _, p in stats.p_below]
     assert probs == sorted(probs)
     assert probs[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_escape_stats_far_out():
+    # heights down to 2^-1201 are handled as exact base-2 exponents
+    stats = escape_stats(600)
+    assert stats.expected_log2_y == pytest.approx(-601, abs=1e-8)
+    assert sum(stats.distribution) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_entropy_report_runs_without_numpy():
+    code = (
+        "import sys, pam, pam.cli\n"
+        "status = pam.cli.main(['entropy'])\n"
+        "print('numpy imported:', 'numpy' in sys.modules)\n"
+        "sys.exit(status)\n"
+    )
+    paths = [os.path.dirname(os.path.dirname(pam.__file__))]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "numpy imported: False" in proc.stdout
+    assert "entropy below log 2: yes" in proc.stdout

@@ -18,6 +18,7 @@ from pam.verifier import (
     verify_cone_stability,
     verify_map,
     verify_markov,
+    verify_top_attraction,
 )
 
 # ---------------------------------------------------------------------------
@@ -120,6 +121,31 @@ def test_preimage_residual_is_the_central_slab():
     assert region_area(preimage) == F(453, 200)
     assert region_area(residual) == F(27, 100)
     assert symdiff_area(residual, [t.region("OO^tC^cC")]) == 0
+
+
+def test_top_attraction_is_certified_exactly():
+    report = verify_top_attraction(standard_map())
+    assert report.status == "pass"
+    assert not report.notes
+    assert any("NWA, NAB, NBO, NOC, NCD, NDE" in w for w in report.witnesses)
+    assert report.witnesses[-1] == (
+        "‖Tᵏp − N‖∞ <= (3/2)·2⁻ᵏ for every p ∈ NWE and k >= 0"
+    )
+
+
+def test_top_attraction_fails_when_a_base_image_drops():
+    # O now maps to O^t on y = 4/5 instead of onto y = 3/2: the map stays
+    # continuous, but two top pieces lose the exact halving of 2 − y
+    data = parse_definition(standard_definition_text())
+    data.images["O"] = data.vertices["O^t"]
+    data.image_names["O"] = "O^t"
+    tampered = build_map(data, expected_pieces=31)
+
+    report = {r.property_id: r for r in verify_map(tampered)}["02-top-attraction"]
+    assert report.status == "fail"
+    failures = [w for w in report.witnesses if w.startswith("FAIL")]
+    assert any(w.startswith("FAIL: NBO: bottom row") for w in failures)
+    assert failures[-1].startswith("FAIL: ‖Tᵏp − N‖∞")
 
 
 def test_tampered_map_fails_verification():
