@@ -2,8 +2,8 @@
 
 Each property is checked with exact rational arithmetic — containments
 and equalities are zero-tolerance symmetric-difference computations, not
-numerics.  Even attraction into the top triangle is certified from the
-piece matrices rather than sampled along orbits.
+numerics.  Even the fixed segment [W^c S] and attraction into the top
+triangle are certified from the piece matrices rather than sampled.
 """
 
 from pam import serialize_reports, standard_map, verify_map

@@ -9,9 +9,9 @@ four-fold per letter.
 """
 
 from pam import (
+    census,
     coding_triangles,
     confined_start,
-    count_cylinders,
     cylinder,
     fiber_width,
     iterate,
@@ -22,8 +22,8 @@ t = standard_map()
 tri = coding_triangles(t)
 
 print("full branching: nonempty cylinders per depth")
-for n in range(1, 9):
-    print(f"  depth {n}: {count_cylinders(t, n, tri)} (= 2^{n})")
+for n, count in enumerate(census(t, 8, tri).counts, 1):
+    print(f"  depth {n}: {count} (= 2^{n})")
 print()
 
 word = "0110100110"

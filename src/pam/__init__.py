@@ -44,10 +44,11 @@ from .mapmodel import (
 )
 from .verifier import cone_certificate, serialize_reports, verify_map
 from .symbolic import (
+    CylinderCensus,
     CylinderChain,
+    census,
     coding_triangles,
     confined_start,
-    count_cylinders,
     cylinder,
     drift_check,
     fiber_width,
@@ -98,10 +99,11 @@ __all__ = [
     "serialize_reports",
     "verify_map",
     # symbolic dynamics
+    "CylinderCensus",
     "CylinderChain",
+    "census",
     "coding_triangles",
     "confined_start",
-    "count_cylinders",
     "cylinder",
     "drift_check",
     "fiber_width",

@@ -38,9 +38,9 @@ from .verifier import (
 )
 from .symbolic import (
     OrbitLeftRegion,
+    census,
     coding_triangles,
     confined_start,
-    count_cylinders,
     drift_check,
     iterate,
 )
@@ -137,11 +137,11 @@ def cmd_build(args, out, err) -> int:
     except MapModelError as exc:
         print(f"{type(exc).__name__}: {exc}", file=err)
         return EXIT_VERIFICATION
+    cones = verify_cone_stability(t)
     print(f"pieces: {len(t.pieces)}", file=out)
     print("continuity: exact", file=out)
     print("coverage: exact", file=out)
     print("vertex images: exact", file=out)
-    cones = verify_cone_stability(t)
     print(f"cone certificates: {cones.status}", file=out)
     for witness in cones.witnesses:
         print(f"  {witness}", file=out)
@@ -207,8 +207,7 @@ def cmd_cylinders(args, out, err) -> int:
     print(f"seed: {seed}", file=out)
     print("depth\tcells\texpected\tok", file=out)
     all_ok = True
-    for n in range(1, args.depth + 1):
-        count = count_cylinders(t, n, triangles)
+    for n, count in enumerate(census(t, args.depth, triangles).counts, 1):
         ok = count == 2**n
         all_ok = all_ok and ok
         print(f"{n}\t{count}\t{2 ** n}\t{'yes' if ok else 'NO'}", file=out)

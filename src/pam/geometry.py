@@ -332,10 +332,6 @@ def clip(p: ConvexPolygon, q: ConvexPolygon) -> Optional[ConvexPolygon]:
     (polygons that merely touch along boundaries do not intersect in any
     sense this package cares about).
     """
-    # quick reject on bounding boxes before any big-integer work
-    pb, qb = p.bounds(), q.bounds()
-    if pb[2] < qb[0] or qb[2] < pb[0] or pb[3] < qb[1] or qb[3] < pb[1]:
-        return None
     verts = list(p._h)
     for line in q._edge_lines():
         verts = _clip_halfplane(verts, line)

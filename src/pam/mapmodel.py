@@ -52,6 +52,7 @@ __all__ = [
     "CoverageViolation",
     "ImageOutsideDomain",
     "NonInvertiblePiece",
+    "UnknownLabel",
     "VertexTable",
     "AffinePiece",
     "PiecewiseAffineMap",
@@ -93,6 +94,11 @@ class ImageOutsideDomain(MapModelError):
 
 class NonInvertiblePiece(MapModelError):
     """A degenerate piece blocks an exact preimage computation."""
+
+
+class UnknownLabel(MapModelError):
+    """A named vertex or corner set is not part of this map (a user map
+    need not use the bundled map's names)."""
 
 
 # --------------------------------------------------------------------------
@@ -261,7 +267,17 @@ class PiecewiseAffineMap:
     # -- point lookup -------------------------------------------------------
 
     def piece(self, name: str) -> AffinePiece:
-        return self.pieces[self._index[name]]
+        try:
+            return self.pieces[self._index[name]]
+        except KeyError:
+            raise UnknownLabel(f"the map has no piece {name}") from None
+
+    def vertex(self, name: str) -> Point:
+        """The named partition vertex; UnknownLabel if the map lacks it."""
+        try:
+            return self.vertices[name]
+        except KeyError:
+            raise UnknownLabel(f"the map has no vertex {name}") from None
 
     def piece_with_corners(self, corners) -> AffinePiece:
         """Look a piece up by its corner set; accepts a compact label
@@ -272,7 +288,7 @@ class PiecewiseAffineMap:
         for p in self.pieces:
             if frozenset(p.corner_names) == want:
                 return p
-        raise KeyError(f"no piece with corners {sorted(want)}")
+        raise UnknownLabel(f"the map has no piece with corners {' '.join(sorted(want))}")
 
     def piece_at(self, point: Point) -> Tuple[int, AffinePiece]:
         x, y = Fraction(point[0]), Fraction(point[1])
@@ -296,7 +312,7 @@ class PiecewiseAffineMap:
 
     def region(self, compact: str) -> ConvexPolygon:
         """Polygon spanned by named vertices, e.g. ``'NWE'``, ``'WW^tOO^t'``."""
-        return ConvexPolygon([self.vertices[n] for n in parse_vertex_names(compact)])
+        return ConvexPolygon([self.vertex(n) for n in parse_vertex_names(compact)])
 
     def piece_image(self, name: str) -> ConvexPolygon:
         return self.piece(name).image

@@ -12,6 +12,9 @@ clipping.  A cylinder is generally *not* convex — the map folds — so
 each level is stored as a list of convex cells, each cell carrying the
 single affine branch of T^n defined on it.  Horizontal widths contract
 by at least 4 per level, which is the mechanism behind the coding.
+`census` walks the whole word tree once, sharing prefixes, and returns
+the number of nonempty cylinders at every depth together with the
+widest fiber at the deepest one.
 
 On the two bottom coding pieces the map is linear with vertical
 multipliers exactly 1/2 and 2, giving the exact drift identity
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .geometry import AffineMap, ConvexPolygon, Point, clip
 from .mapmodel import OutsideDomain, PiecewiseAffineMap
@@ -40,7 +43,8 @@ __all__ = [
     "CylinderChain",
     "cylinder",
     "fiber_width",
-    "count_cylinders",
+    "CylinderCensus",
+    "census",
     "max_fiber_width",
     "DriftVerdict",
     "drift_check",
@@ -273,36 +277,55 @@ def fiber_width(chain: CylinderChain, n: int) -> Fraction:
     return best
 
 
-def count_cylinders(
+@dataclass(frozen=True)
+class CylinderCensus:
+    """What one walk of the word tree to depth n establishes.
+
+    counts[k-1] is the number of length-k words with a nonempty
+    cylinder, for k = 1..n; widths maps each first letter to the widest
+    horizontal chord over the nonempty length-n cylinders below it.
+    """
+
+    counts: Tuple[int, ...]
+    widths: Dict[int, Fraction]
+
+
+def census(
     t: PiecewiseAffineMap,
     n: int,
     triangles: Optional[CodingTriangles] = None,
-) -> int:
-    """Number of length-n words whose cylinder is nonempty.
+) -> CylinderCensus:
+    """Count the nonempty cylinders at every depth up to n and measure
+    the widest fiber at depth n, in one shared-prefix descent.
 
-    Full Markov branching makes this 2^n; the count is established by
-    exhaustive exact clipping with shared prefixes, not assumed.
+    Full Markov branching makes counts[k-1] = 2^k; the counts are
+    established by exhaustive exact clipping, not assumed.  Each width
+    is a maximum over *every* leaf cylinder, so comparing it against a
+    bound checks every cylinder at depth n.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if triangles is None:
         triangles = coding_triangles(t)
     branches = _Branches(t, triangles)
+    counts = [0] * n
 
-    def descend(cells, remaining: int) -> int:
-        if remaining == 0:
-            return 1
-        total = 0
+    def walk(cells, length: int) -> Fraction:
+        counts[length - 1] += 1
+        if length == n:
+            return max((_max_chord(cell) for cell, _ in cells), default=Fraction(0))
+        best = Fraction(0)
         for letter in (0, 1):
             nxt = branches.step(cells, letter)
             if nxt:
-                total += descend(nxt, remaining - 1)
-        return total
+                best = max(best, walk(nxt, length + 1))
+        return best
 
-    total = 0
-    for letter, target in ((0, triangles.p0), (1, triangles.p1)):
-        total += descend([(target, AffineMap.identity())], n - 1)
-    return total
+    widths = {
+        letter: walk([(target, AffineMap.identity())], 1)
+        for letter, target in ((0, triangles.p0), (1, triangles.p1))
+    }
+    return CylinderCensus(tuple(counts), widths)
 
 
 def max_fiber_width(
@@ -310,35 +333,8 @@ def max_fiber_width(
     n: int,
     triangles: Optional[CodingTriangles] = None,
 ) -> dict:
-    """Widest fiber among all depth-n cylinders, keyed by first letter.
-
-    One shared-prefix descent over the full binary word tree; for each
-    first letter the result is the maximum horizontal-chord width over
-    the 2^(n-1) nonempty leaf cylinders below it, so comparing it
-    against a bound checks *every* cylinder at that depth.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if triangles is None:
-        triangles = coding_triangles(t)
-    branches = _Branches(t, triangles)
-
-    def widest(cells, remaining: int) -> Fraction:
-        if remaining == 0:
-            return max((_max_chord(cell) for cell, _ in cells), default=Fraction(0))
-        best = Fraction(0)
-        for letter in (0, 1):
-            nxt = branches.step(cells, letter)
-            if nxt:
-                sub = widest(nxt, remaining - 1)
-                if sub > best:
-                    best = sub
-        return best
-
-    return {
-        letter: widest([(target, AffineMap.identity())], n - 1)
-        for letter, target in ((0, triangles.p0), (1, triangles.p1))
-    }
+    """Widest fiber among all depth-n cylinders, keyed by first letter."""
+    return census(t, n, triangles).widths
 
 
 # ---------------------------------------------------------------------------

@@ -220,23 +220,62 @@ def _table_pieces(t: PiecewiseAffineMap):
 # the ten checks
 
 
+def _segment_interval(
+    domain: ConvexPolygon, a: Point, b: Point
+) -> Optional[Tuple[Fraction, Fraction]]:
+    """The parameters s in [0, 1] with a + s(b − a) in `domain`, as an
+    interval (lo, hi) with lo < hi; None when the segment meets the
+    domain in at most one point."""
+    lo, hi = Fraction(0), Fraction(1)
+    for u, v in domain.edges():
+        # signed side of the CCW edge u -> v, linear along the segment
+        fa, fb = ((v.x - u.x) * (p.y - u.y) - (v.y - u.y) * (p.x - u.x) for p in (a, b))
+        if fa < 0 and fb < 0:
+            return None
+        if fa < 0:
+            lo = max(lo, fa / (fa - fb))
+        elif fb < 0:
+            hi = min(hi, fa / (fa - fb))
+    return (lo, hi) if lo < hi else None
+
+
 def verify_fixed_points(t: PiecewiseAffineMap) -> PropertyReport:
-    """N and S are fixed, and the whole segment from W^c to S is fixed."""
+    """N and S are fixed, and the whole segment from W^c to S is fixed.
+
+    The segment is certified piece by piece: an affine map that fixes
+    both ends of a sub-segment fixes all of it, so it suffices that each
+    piece fixes the ends of its part of [W^c S] and that those parts
+    cover the segment.
+    """
     chk = _Check()
     for name in ("N", "S"):
-        p = t.vertices[name]
+        p = t.vertex(name)
         chk.expect(t.evaluate(p) == p, f"T({name}) = {name} = {p}")
-    w_c, s = t.vertices["W^c"], t.vertices["S"]
-    samples = [
-        Point(w_c.x * Fraction(i, 7), w_c.y * Fraction(i, 7)) for i in range(8)
-    ]
-    fixed = [p for p in samples if t.evaluate(p) == p]
+    w_c, s = t.vertex("W^c"), t.vertex("S")
+    intervals = []
+    for piece in t.pieces:
+        interval = _segment_interval(piece.domain, w_c, s)
+        if interval is None:
+            continue
+        intervals.append(interval)
+        ends = [w_c + (s - w_c).scaled(k) for k in interval]
+        moved = [p for p in ends if piece.map(p) != p]
+        chk.expect(
+            not moved,
+            f"{piece.name} fixes both ends of its part [{ends[0]} {ends[1]}] "
+            f"of [W^c S], hence all of it",
+            ", ".join(f"T({p}) = {piece.map(p)}" for p in moved),
+        )
+    reach = Fraction(0)
+    for lo, hi in sorted(intervals):
+        if lo > reach:
+            break
+        reach = max(reach, hi)
     chk.expect(
-        len(fixed) == len(samples),
-        f"all {len(samples)} equally spaced samples of [W^c S] are fixed",
-        f"moved: {[str(p) for p in samples if t.evaluate(p) != p]}",
+        reach == 1,
+        f"these parts cover [W^c S] = [{w_c} {s}]",
+        f"first gap at {w_c + (s - w_c).scaled(reach)}",
     )
-    chk.info(f"sample endpoints: {samples[0]} and {samples[-1]}")
     return chk.report("01-fixed-points", "poles and the fixed segment")
 
 
@@ -253,14 +292,14 @@ def verify_top_attraction(t: PiecewiseAffineMap) -> PropertyReport:
     top = t.region("NWE")
     base_images_up = True
     for name in "WABOCDE":
-        image = t.evaluate(t.vertices[name])
+        image = t.evaluate(t.vertex(name))
         if image.y != Fraction(3, 2):
             base_images_up = False
     chk.expect(
         base_images_up,
         "every vertex of the base row maps onto the line y = 3/2 (above y = 1)",
     )
-    n, w = t.vertices["N"], t.vertices["W"]
+    n, w = t.vertex("N"), t.vertex("W")
     w_img = t.evaluate(w)
     on_nw = (w.x - n.x) * (w_img.y - n.y) == (w_img.x - n.x) * (w.y - n.y)
     chk.expect(on_nw, f"T(W) = {w_img} lies on the edge [N W]")
@@ -512,9 +551,9 @@ def analyze_WAS(t: PiecewiseAffineMap) -> PropertyReport:
     segment_piece = t.piece_with_corners("W^cA^cS")
     eig = eigen2(segment_piece.map.linear)
     pairs = dict(eig.rational_pairs())
-    w_c = t.vertices["W^c"]
+    w_c = t.vertex("W^c")
     along = _primitive_direction(w_c.x, w_c.y)
-    a_c = t.vertices["A^c"]
+    a_c = t.vertex("A^c")
     transverse = _primitive_direction(a_c.x, a_c.y)
     ok = (
         pairs.get(Fraction(1)) == along

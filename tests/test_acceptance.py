@@ -27,14 +27,13 @@ from pam.entropy import (
 from pam.geometry import Matrix2, Point, region_difference, symdiff_area
 from pam.mapmodel import standard_map
 from pam.symbolic import (
+    census,
     coding_triangles,
     confined_start,
-    count_cylinders,
     cylinder,
     drift_check,
     fiber_width,
     iterate,
-    max_fiber_width,
 )
 from pam.verifier import cone_certificate
 
@@ -162,17 +161,16 @@ def test_criterion_06_folding_and_left_right():
 
 def test_criterion_07_cylinder_counts_widths_and_drift():
     with criterion(7, "cylinder counts, widths, drift law"):
-        for n in range(1, 13):
-            assert count_cylinders(T, n, TRI) == 2**n, n
+        result = census(T, 12, TRI)
+        assert result.counts == tuple(2**n for n in range(1, 13))
 
         initial = {
             0: fiber_width(cylinder(T, "0", TRI), 0),
             1: fiber_width(cylinder(T, "1", TRI), 0),
         }
         assert initial == {0: F(2, 25), 1: F(1, 20)}
-        deepest = max_fiber_width(T, 12, TRI)
         for letter in (0, 1):
-            assert deepest[letter] <= F(4) ** -12 * initial[letter], letter
+            assert result.widths[letter] <= F(4) ** -12 * initial[letter], letter
 
         rng = random.Random(12)
         for _ in range(1000):

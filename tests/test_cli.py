@@ -129,6 +129,27 @@ def test_build_rejects_degenerate_domain(capsys, tmp_path):
     assert err.startswith("MapDefinitionError: domain a b c d:")
 
 
+# a valid map of a square that uses none of the bundled vertex names
+# beyond N and S
+SQUARE_IDENTITY = (
+    "vertex N 0 2\nvertex S 0 0\nvertex W -1 1\nvertex E 1 1\n"
+    "domain E N W S\n"
+    "triangle NWS N W S\ntriangle NSE N S E\n"
+    "image N N\nimage S S\nimage W W\nimage E E\n"
+)
+
+
+@pytest.mark.parametrize("subcommand", ["build", "verify", "cylinders"])
+def test_non_standard_map_names_the_missing_label(capsys, tmp_path, subcommand):
+    path = tmp_path / "identity.map"
+    path.write_text(SQUARE_IDENTITY)
+    code, out, err = run(capsys, [subcommand, "--map", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("UnknownLabel: the map has no ")
+
+
 # -- verify ------------------------------------------------------------------
 
 

@@ -82,6 +82,11 @@ class TestClip:
         shifted = poly((1, 0), (2, 0), (2, 1), (1, 1))
         assert clip(UNIT_SQUARE, shifted) is None
 
+    def test_shared_corner_only_is_empty(self):
+        diagonal = poly((1, 1), (2, 1), (2, 2), (1, 2))
+        assert clip(UNIT_SQUARE, diagonal) is None
+        assert clip(diagonal, UNIT_SQUARE) is None
+
     def test_triangle_by_half_square(self):
         tri = poly((0, 0), (2, 0), (0, 2))
         half = poly((0, 0), (1, 0), (1, 2), (0, 2))

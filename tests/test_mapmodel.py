@@ -14,6 +14,7 @@ from pam.mapmodel import (
     MapDefinitionError,
     NonInvertiblePiece,
     OutsideDomain,
+    UnknownLabel,
     build_map,
     generate_vertices,
     parse_definition,
@@ -106,6 +107,19 @@ def test_distinguished_piece_maps():
         piece = m.piece_with_corners(label)
         assert piece.map.linear == matrix, label
         assert piece.map.translation == (F(tx), F(ty)), label
+
+
+def test_unknown_names_raise_one_error_naming_them():
+    m = standard_map()
+    assert m.vertex("W^c") == Point.of("-3/4", "1/2")
+    with pytest.raises(UnknownLabel, match="no vertex Z$"):
+        m.vertex("Z")
+    with pytest.raises(UnknownLabel, match="no vertex Z$"):
+        m.region("NZS")
+    with pytest.raises(UnknownLabel, match="no piece with corners N O S$"):
+        m.piece_with_corners("NSO")
+    with pytest.raises(UnknownLabel, match="no piece XYZ$"):
+        m.piece("XYZ")
 
 
 def test_vertex_images():

@@ -12,9 +12,9 @@ from pam.symbolic import (
     CODING_MODES,
     CylinderChain,
     OrbitLeftRegion,
+    census,
     coding_triangles,
     confined_start,
-    count_cylinders,
     cylinder,
     drift_check,
     fiber_width,
@@ -126,12 +126,12 @@ def test_cylinder_rejects_bad_words():
     with pytest.raises(ValueError):
         cylinder(T, "02", TRI)
     with pytest.raises(ValueError):
-        count_cylinders(T, 0, TRI)
+        census(T, 0, TRI)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_full_branching(n):
-    assert count_cylinders(T, n, TRI) == 2**n
+    assert census(T, n, TRI).counts == tuple(2**k for k in range(1, n + 1))
 
 
 def test_cylinders_nest():
@@ -166,12 +166,18 @@ def test_cylinder_chain_is_plain_data():
 def test_width_census_matches_per_word_enumeration():
     from itertools import product
 
-    census = max_fiber_width(T, 3, TRI)
+    counts = [
+        sum(not cylinder(T, bits, TRI).is_empty(n - 1) for bits in product((0, 1), repeat=n))
+        for n in range(1, 5)
+    ]
+    assert census(T, 4, TRI).counts == tuple(counts)
+
     best = {0: F(0), 1: F(0)}
     for bits in product((0, 1), repeat=3):
         chain = cylinder(T, bits, TRI)
         best[bits[0]] = max(best[bits[0]], fiber_width(chain, 2))
-    assert census == best
+    assert census(T, 3, TRI).widths == best
+    assert max_fiber_width(T, 3, TRI) == best
 
 
 def test_width_census_validates_depth():

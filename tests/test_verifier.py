@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from pam.geometry import Matrix2, region_area, symdiff_area
+from pam.geometry import ConvexPolygon, Matrix2, Point, region_area, symdiff_area
 from pam.mapmodel import build_map, parse_definition, standard_definition_text, standard_map
 from pam.verifier import (
     ConeCertificate,
@@ -15,7 +15,9 @@ from pam.verifier import (
     _preimage_parts,
     cone_certificate,
     serialize_reports,
+    _segment_interval,
     verify_cone_stability,
+    verify_fixed_points,
     verify_map,
     verify_markov,
     verify_top_attraction,
@@ -163,3 +165,43 @@ def test_tampered_map_fails_verification():
 
     cone = verify_cone_stability(tampered)
     assert cone.status == "fail"
+
+
+# ---------------------------------------------------------------------------
+# fixed segment
+
+
+def test_segment_interval_is_exact():
+    square = ConvexPolygon([Point.of(0, 0), Point.of(1, 0), Point.of(1, 1), Point.of(0, 1)])
+    across = _segment_interval(square, Point.of(-1, F(1, 2)), Point.of(2, F(1, 2)))
+    assert across == (F(1, 3), F(2, 3))
+    assert _segment_interval(square, Point.of(0, 0), Point.of(1, 0)) == (0, 1)
+    assert _segment_interval(square, Point.of(1, 1), Point.of(2, 2)) is None
+    assert _segment_interval(square, Point.of(2, 0), Point.of(3, 5)) is None
+
+
+def test_fixed_segment_is_certified_from_the_pieces():
+    report = verify_fixed_points(standard_map())
+    assert report.status == "pass"
+    assert report.witnesses[2] == (
+        "W^cA^cS fixes both ends of its part [(-3/4, 1/2) (0, 0)] of [W^c S], "
+        "hence all of it"
+    )
+    assert report.witnesses[-1] == "these parts cover [W^c S] = [(-3/4, 1/2) (0, 0)]"
+
+
+def test_fixed_segment_fails_when_its_end_moves():
+    # W^c now maps to W: the map still builds, but the piece carrying
+    # the segment no longer fixes its upper end
+    data = parse_definition(standard_definition_text())
+    data.images["W^c"] = data.vertices["W"]
+    data.image_names["W^c"] = "W"
+    tampered = build_map(data, expected_pieces=31)
+
+    report = verify_fixed_points(tampered)
+    assert report.status == "fail"
+    failures = [w for w in report.witnesses if w.startswith("FAIL")]
+    assert failures == [
+        "FAIL: W^cA^cS fixes both ends of its part [(-3/4, 1/2) (0, 0)] of [W^c S], "
+        "hence all of it [T((-3/4, 1/2)) = (-3/2, 1)]"
+    ]
