@@ -203,11 +203,12 @@ def cmd_cylinders(args, out, err) -> int:
         print(f"{type(exc).__name__}: {exc}", file=err)
         return EXIT_VERIFICATION
     triangles = coding_triangles(t)
+    counts = census(t, args.depth, triangles).counts
 
     print(f"seed: {seed}", file=out)
     print("depth\tcells\texpected\tok", file=out)
     all_ok = True
-    for n, count in enumerate(census(t, args.depth, triangles).counts, 1):
+    for n, count in enumerate(counts, 1):
         ok = count == 2**n
         all_ok = all_ok and ok
         print(f"{n}\t{count}\t{2 ** n}\t{'yes' if ok else 'NO'}", file=out)

@@ -1,17 +1,17 @@
 """Exact rational planar geometry.
 
 Points, 2x2 matrices, affine maps, convex polygons, clipping, union
-areas and eigenanalysis, all over `fractions.Fraction`.  Nothing in this
-module ever rounds: every predicate is decided by integer arithmetic.
+areas and eigenanalysis.  Nothing in this module ever rounds: every
+predicate is decided by integer arithmetic.
 
-Polygons are canonicalized on construction (counter-clockwise, no
-repeated or collinear vertices), so equality and hashing behave like
-value semantics.  Internally a polygon keeps its vertices as reduced
-homogeneous integer triples ``(X, Y, W)``, ``W > 0`` — clipping and
-affine images then need one gcd per produced vertex instead of one per
-arithmetic operation, which is an order of magnitude faster than doing
-Sutherland–Hodgman directly on Fractions.  The public surface speaks
-Fraction.
+One integer layer carries the work: a polygon keeps its vertices as
+reduced homogeneous integer triples ``(X, Y, W)``, ``W > 0``, and an
+affine map is one reduced homogeneous integer 3x3 matrix, so clipping,
+composition, inversion and affine images need one gcd per result
+instead of one per arithmetic operation.  Polygons are canonicalized
+(counter-clockwise, no repeated or collinear vertices), so equality and
+hashing behave like value semantics.  Fractions appear only on the
+public surface (points, areas, `AffineMap.linear`/`translation`).
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ __all__ = [
     "Eigen2Result",
     "eigen2",
     "affine_from_point_pairs",
+    "locate",
 ]
 
 Rational = Fraction
@@ -57,6 +58,8 @@ class CollinearSources(GeometryError):
 
 
 def _rat(value: RationalLike) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(
             f"refusing float {value!r}: this module is exact, pass Fraction/int/str"
@@ -120,13 +123,15 @@ def _hpoint(x: Fraction, y: Fraction) -> _HPoint:
     return (x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w)
 
 
-def _hreduce(x: int, y: int, w: int) -> _HPoint:
-    if w < 0:
-        x, y, w = -x, -y, -w
-    g = math.gcd(x, y, w)
-    if g > 1:
-        return (x // g, y // g, w // g)
-    return (x, y, w)
+def _hreduce(*v: int) -> tuple:
+    """The unique representative of a homogeneous integer vector: gcd 1
+    and a positive last entry (the weight W of a point, G of a map)."""
+    g = math.gcd(*v)
+    if v[-1] < 0:
+        g = -g
+    if g != 1:
+        return tuple([c // g for c in v])
+    return v
 
 
 def _hcross(p: _HPoint, q: _HPoint) -> tuple:
@@ -203,16 +208,10 @@ class ConvexPolygon:
     input is accepted and reversed.
     """
 
-    __slots__ = ("_h", "_verts", "_area", "_lines", "_bounds", "_canon")
+    __slots__ = ("_h", "_verts", "_area", "_lines", "_canon")
 
     def __init__(self, points: Iterable):
-        hverts = []
-        for p in points:
-            if isinstance(p, Point):
-                x, y = p
-            else:
-                x, y = p
-            hverts.append(_hpoint(_rat(x), _rat(y)))
+        hverts = [_hpoint(_rat(x), _rat(y)) for x, y in points]
         hverts = _dedupe_cyclic(hverts)
         hverts = _drop_collinear(hverts)
         if len(hverts) < 3:
@@ -233,7 +232,6 @@ class ConvexPolygon:
         self._verts: Optional[tuple] = None
         self._area: Optional[Fraction] = None
         self._lines: Optional[tuple] = None
-        self._bounds = None
         self._canon = None
 
     @classmethod
@@ -268,14 +266,6 @@ class ConvexPolygon:
             self._lines = tuple(_hcross(h[i], h[(i + 1) % n]) for i in range(n))
         return self._lines
 
-    def bounds(self) -> tuple:
-        """(xmin, ymin, xmax, ymax) as Fractions."""
-        if self._bounds is None:
-            xs = [Fraction(v[0], v[2]) for v in self._h]
-            ys = [Fraction(v[1], v[2]) for v in self._h]
-            self._bounds = (min(xs), min(ys), max(xs), max(ys))
-        return self._bounds
-
     def contains(self, point: Point) -> bool:
         """Closed-set membership (boundary counts as inside)."""
         hp = _hpoint(_rat(point[0]), _rat(point[1]))
@@ -292,13 +282,12 @@ class ConvexPolygon:
         return clip(self, other)
 
     def transformed(self, f: "AffineMap") -> "ConvexPolygon":
-        hm = f._homogeneous()
-        a, b, e, c, d, t, g = hm
+        a, b, e, c, d, t, g = f._m
         out = [
             _hreduce(a * x + b * y + e * w, c * x + d * y + t * w, g * w)
             for (x, y, w) in self._h
         ]
-        if f.linear.det() < 0:
+        if a * d < b * c:
             out.reverse()
         out = _drop_collinear(_dedupe_cyclic(out))
         if len(out) < 3:
@@ -341,6 +330,16 @@ def clip(p: ConvexPolygon, q: ConvexPolygon) -> Optional[ConvexPolygon]:
     if len(verts) < 3:
         return None
     return ConvexPolygon._from_h(tuple(verts))
+
+
+def locate(polygons: Sequence[ConvexPolygon], point: Point) -> Optional[int]:
+    """Index of the first polygon whose closed set contains `point`, or
+    None when no polygon does."""
+    hp = _hpoint(_rat(point[0]), _rat(point[1]))
+    for i, poly in enumerate(polygons):
+        if all(_hside(line, hp) >= 0 for line in poly._edge_lines()):
+            return i
+    return None
 
 
 def _union_area(polys: Sequence[ConvexPolygon]) -> Fraction:
@@ -449,95 +448,106 @@ class Matrix2:
             self.c * other.b + self.d * other.d,
         )
 
-    def inverse(self) -> "Matrix2":
-        det = self.det()
-        if det == 0:
-            raise GeometryError("matrix is singular")
-        return Matrix2(self.d / det, -self.b / det, -self.c / det, self.a / det)
-
     def __str__(self) -> str:
         f = format_rational
         return f"({f(self.a)}, {f(self.b)}; {f(self.c)}, {f(self.d)})"
 
 
 class AffineMap:
-    """x ↦ L·x + t with L a Matrix2 and t a rational translation."""
+    """x ↦ L·x + t with rational L and t, held as the reduced homogeneous
+    integer matrix [[A, B, E], [C, D, F], [0, 0, G]] in the tuple
+    ``(A, B, E, C, D, F, G)``, G > 0 and gcd 1, so tuple equality is map
+    equality: (x, y) ↦ ((Ax+By+E)/G, (Cx+Dy+F)/G)."""
 
-    __slots__ = ("linear", "translation", "_hcache")
+    __slots__ = ("_m",)
 
     def __init__(self, linear: Matrix2, translation):
         tx, ty = translation
-        object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "translation", (_rat(tx), _rat(ty)))
-        object.__setattr__(self, "_hcache", None)
+        entries = [_rat(v) for v in (linear.a, linear.b, tx, linear.c, linear.d, ty)]
+        g = math.lcm(*(v.denominator for v in entries))
+        self._m = _hreduce(*(v.numerator * (g // v.denominator) for v in entries), g)
 
-    def __setattr__(self, *_):
-        raise AttributeError("AffineMap is immutable")
+    @classmethod
+    def _of(cls, m: tuple) -> "AffineMap":
+        # internal fast path: caller guarantees a reduced 7-tuple
+        self = object.__new__(cls)
+        self._m = m
+        return self
 
     @staticmethod
     def identity() -> "AffineMap":
-        return AffineMap(Matrix2.identity(), (0, 0))
+        return AffineMap._of((1, 0, 0, 0, 1, 0, 1))
+
+    @property
+    def linear(self) -> Matrix2:
+        a, b, _, c, d, _, g = self._m
+        return Matrix2(Fraction(a, g), Fraction(b, g), Fraction(c, g), Fraction(d, g))
+
+    @property
+    def translation(self) -> tuple:
+        _, _, e, _, _, f, g = self._m
+        return (Fraction(e, g), Fraction(f, g))
 
     def apply(self, p: Point) -> Point:
-        x, y = _rat(p[0]), _rat(p[1])
-        lx, ly = self.linear.apply(x, y)
-        return Point(lx + self.translation[0], ly + self.translation[1])
+        x, y, w = _hpoint(_rat(p[0]), _rat(p[1]))
+        a, b, e, c, d, f, g = self._m
+        return Point(
+            Fraction(a * x + b * y + e * w, g * w), Fraction(c * x + d * y + f * w, g * w)
+        )
 
     def __call__(self, p: Point) -> Point:
         return self.apply(p)
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
         """The map "apply `inner` first, then self"."""
-        lin = self.linear @ inner.linear
-        tx, ty = self.linear.apply(*inner.translation)
-        return AffineMap(
-            lin, (tx + self.translation[0], ty + self.translation[1])
+        a1, b1, e1, c1, d1, f1, g1 = self._m
+        a2, b2, e2, c2, d2, f2, g2 = inner._m
+        return AffineMap._of(
+            _hreduce(
+                a1 * a2 + b1 * c2,
+                a1 * b2 + b1 * d2,
+                a1 * e2 + b1 * f2 + e1 * g2,
+                c1 * a2 + d1 * c2,
+                c1 * b2 + d1 * d2,
+                c1 * e2 + d1 * f2 + f1 * g2,
+                g1 * g2,
+            )
         )
 
     def inverse(self) -> "AffineMap":
-        inv = self.linear.inverse()
-        tx, ty = inv.apply(*self.translation)
-        return AffineMap(inv, (-tx, -ty))
+        # the adjugate of the 3x3 matrix; its last row is (0, 0, AD - BC)
+        a, b, e, c, d, f, g = self._m
+        det = a * d - b * c
+        if det == 0:
+            raise GeometryError("matrix is singular")
+        return AffineMap._of(
+            _hreduce(d * g, -b * g, b * f - d * e, -c * g, a * g, c * e - a * f, det)
+        )
 
     def is_invertible(self) -> bool:
-        return self.linear.det() != 0
-
-    def _homogeneous(self) -> tuple:
-        # (A, B, E, C, D, F, G): (x, y) -> ((Ax+By+Ew)/(Gw), (Cx+Dy+Fw)/(Gw))
-        cached = self._hcache
-        if cached is None:
-            lin, (tx, ty) = self.linear, self.translation
-            g = math.lcm(
-                lin.a.denominator,
-                lin.b.denominator,
-                lin.c.denominator,
-                lin.d.denominator,
-                tx.denominator,
-                ty.denominator,
-            )
-            cached = (
-                lin.a.numerator * (g // lin.a.denominator),
-                lin.b.numerator * (g // lin.b.denominator),
-                tx.numerator * (g // tx.denominator),
-                lin.c.numerator * (g // lin.c.denominator),
-                lin.d.numerator * (g // lin.d.denominator),
-                ty.numerator * (g // ty.denominator),
-                g,
-            )
-            object.__setattr__(self, "_hcache", cached)
-        return cached
+        a, b, _, c, d, _, _ = self._m
+        return a * d != b * c
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineMap):
             return NotImplemented
-        return self.linear == other.linear and self.translation == other.translation
+        return self._m == other._m
 
     def __hash__(self) -> int:
-        return hash((self.linear, self.translation))
+        return hash(self._m)
 
     def __repr__(self) -> str:
         f = format_rational
-        return f"AffineMap({self.linear}, t=({f(self.translation[0])}, {f(self.translation[1])}))"
+        tx, ty = self.translation
+        return f"AffineMap({self.linear}, t=({f(tx)}, {f(ty)}))"
+
+
+def _frame(o, u, v) -> AffineMap:
+    """The affine map sending 0, e1, e2 to the points o, u, v."""
+    hs = [_hpoint(_rat(x), _rat(y)) for x, y in (o, u, v)]
+    g = math.lcm(*(w for _, _, w in hs))
+    (ox, oy), (ux, uy), (vx, vy) = ((x * (g // w), y * (g // w)) for x, y, w in hs)
+    return AffineMap._of(_hreduce(ux - ox, vx - ox, ox, uy - oy, vy - oy, oy, g))
 
 
 def affine_from_point_pairs(pairs) -> AffineMap:
@@ -547,24 +557,13 @@ def affine_from_point_pairs(pairs) -> AffineMap:
     CollinearSources when the source points do not span the plane.
     """
     (p1, q1), (p2, q2), (p3, q3) = pairs
-    x1, y1 = _rat(p1[0]), _rat(p1[1])
-    x2, y2 = _rat(p2[0]), _rat(p2[1])
-    x3, y3 = _rat(p3[0]), _rat(p3[1])
-    det = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
-    if det == 0:
-        raise CollinearSources(f"source points are collinear: {p1}, {p2}, {p3}")
-
-    def solve(v1: Fraction, v2: Fraction, v3: Fraction):
-        # row (m, n, t) with m*x_i + n*y_i + t = v_i, by Cramer's rule
-        d1, d2 = v2 - v1, v3 - v1
-        m = (d1 * (y3 - y1) - d2 * (y2 - y1)) / det
-        n = ((x2 - x1) * d2 - (x3 - x1) * d1) / det
-        t = v1 - m * x1 - n * y1
-        return m, n, t
-
-    a, b, e = solve(_rat(q1[0]), _rat(q2[0]), _rat(q3[0]))
-    c, d, f = solve(_rat(q1[1]), _rat(q2[1]), _rat(q3[1]))
-    return AffineMap(Matrix2(a, b, c, d), (e, f))
+    try:
+        back = _frame(p1, p2, p3).inverse()
+    except GeometryError:
+        raise CollinearSources(
+            f"source points are collinear: {p1}, {p2}, {p3}"
+        ) from None
+    return _frame(q1, q2, q3).compose(back)
 
 
 # --------------------------------------------------------------------------

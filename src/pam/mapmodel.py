@@ -38,10 +38,9 @@ from .geometry import (
     affine_from_point_pairs,
     clip,
     format_rational,
+    locate,
     parse_rational,
     symdiff_area,
-    _hpoint,
-    _hside,
 )
 
 __all__ = [
@@ -263,6 +262,7 @@ class PiecewiseAffineMap:
         self.domain_names = tuple(domain_names)
         self.deviations = tuple(deviations)
         self._index = {p.name: i for i, p in enumerate(self.pieces)}
+        self._domains = tuple(p.domain for p in self.pieces)
 
     # -- point lookup -------------------------------------------------------
 
@@ -291,19 +291,15 @@ class PiecewiseAffineMap:
         raise UnknownLabel(f"the map has no piece with corners {' '.join(sorted(want))}")
 
     def piece_at(self, point: Point) -> Tuple[int, AffinePiece]:
-        x, y = Fraction(point[0]), Fraction(point[1])
-        hp = _hpoint(x, y)
-        for i, piece in enumerate(self.pieces):
-            xmin, ymin, xmax, ymax = piece.domain.bounds()
-            if not (ymin <= y <= ymax and xmin <= x <= xmax):
-                continue
-            if all(_hside(line, hp) >= 0 for line in piece.domain._edge_lines()):
-                return i, piece
-        raise OutsideDomain(f"point {Point(x, y)} is not in the domain")
+        i = locate(self._domains, point)
+        if i is None:
+            x, y = Fraction(point[0]), Fraction(point[1])
+            raise OutsideDomain(f"point {Point(x, y)} is not in the domain")
+        return i, self.pieces[i]
 
     def evaluate(self, point: Point) -> Point:
         _, piece = self.piece_at(point)
-        return piece.map(Point(Fraction(point[0]), Fraction(point[1])))
+        return piece.map(point)
 
     def __call__(self, point: Point) -> Point:
         return self.evaluate(point)
@@ -323,6 +319,8 @@ class PiecewiseAffineMap:
         for piece in self.pieces:
             part = clip(piece.domain, region)
             if part is not None:
+                if not piece.map.is_invertible():
+                    raise NonInvertiblePiece(piece.name)
                 out.append(part.transformed(piece.map))
         return out
 

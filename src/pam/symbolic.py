@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .geometry import AffineMap, ConvexPolygon, Point, clip
-from .mapmodel import OutsideDomain, PiecewiseAffineMap
+from .mapmodel import NonInvertiblePiece, OutsideDomain, PiecewiseAffineMap
 
 __all__ = [
     "SymbolicError",
@@ -168,6 +168,8 @@ class _Branches:
         for target in (triangles.p0, triangles.p1):
             pairs = []
             for piece in t.pieces:
+                if not piece.map.is_invertible():
+                    raise NonInvertiblePiece(piece.name)
                 # the part of this piece whose *next* image lands in the
                 # requested coding triangle
                 pulled = target.transformed(piece.map.inverse())

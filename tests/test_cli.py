@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import os
 import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +150,27 @@ def test_non_standard_map_names_the_missing_label(capsys, tmp_path, subcommand):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("UnknownLabel: the map has no ")
+
+
+# the bundled map with W^c sent to W: it still builds, but the piece
+# W^cA^tW^t is flattened onto a segment
+FLATTENED_PIECE = standard_definition_text().replace(
+    "image W^c W^c\n", "image W^c W\n", 1
+)
+
+
+@pytest.mark.parametrize(
+    "argv", [["cylinders"], ["render", "--figure", "left-right-image"]]
+)
+def test_flattened_piece_is_named(capsys, tmp_path, argv):
+    assert FLATTENED_PIECE != standard_definition_text()
+    path = tmp_path / "flattened.map"
+    path.write_text(FLATTENED_PIECE)
+    code, out, err = run(capsys, [*argv, "--map", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("NonInvertiblePiece: ")
 
 
 # -- verify ------------------------------------------------------------------
@@ -369,8 +392,10 @@ def test_console_script_smoke():
 
 
 def test_module_invocation_smoke():
+    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "pam.cli", "render", "--figure", "heatmap"],
         capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert proc.returncode == 3

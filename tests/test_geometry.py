@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from pam.geometry import (
     AffineMap,
@@ -65,7 +65,6 @@ class TestConvexPolygon:
     def test_area_and_bounds(self):
         q = poly(("3/2", 1), (0, 2), ("-3/2", 1), (0, 0))
         assert q.area == 3
-        assert q.bounds() == (F(-3, 2), F(0), F(3, 2), F(2))
 
     def test_contains_is_closed(self):
         assert UNIT_SQUARE.contains(Point.of("1/2", "1/2"))
@@ -182,6 +181,24 @@ class TestAffineSolve:
         assert f.compose(g)(p) == f(g(p))
         assert f.inverse()(f(p)) == p
 
+    def test_equal_maps_written_differently(self):
+        f = AffineMap(Matrix2.of("2/4", 3, 0, "6/8"), ("10/20", -2))
+        g = AffineMap(Matrix2.of("1/2", 3, 0, "3/4"), ("1/2", -2))
+        assert f == g and hash(f) == hash(g)
+        # the product of x -> 2x and x -> x/2 carries the common factor 2
+        double = AffineMap(Matrix2.of(2, 0, 0, 2), (0, 0))
+        half = AffineMap(Matrix2.of("1/2", 0, 0, "1/2"), (0, 0))
+        assert double.compose(half) == AffineMap.identity()
+        assert hash(double.compose(half)) == hash(AffineMap.identity())
+        assert AffineMap.identity() == AffineMap(Matrix2.identity(), (0, 0))
+
+    def test_singular_inverse_rejected(self):
+        for linear in (Matrix2.of(1, 2, 2, 4), Matrix2.of(0, 0, 0, 0)):
+            f = AffineMap(linear, (1, "1/3"))
+            assert not f.is_invertible()
+            with pytest.raises(GeometryError):
+                f.inverse()
+
 
 class TestEigen2:
     def test_rational_pair_with_eigenvector(self):
@@ -283,14 +300,101 @@ def test_region_area_permutation_invariant(ts, rng):
     assert region_area(ts) == region_area(ts + [ts[0]])
 
 
+# Fraction references for AffineMap: entries (a, b, c, d, e, f) stand for
+# x -> (a x + b y + e, c x + d y + f), computed the way the map was
+# computed before it was held as one integer matrix
+
+affine_entries = st.tuples(*[rationals] * 6)
+
+
+def _affine(v):
+    a, b, c, d, e, f = v
+    return AffineMap(Matrix2(a, b, c, d), (e, f))
+
+
+def _entries(m):
+    lin = m.linear
+    return (lin.a, lin.b, lin.c, lin.d, *m.translation)
+
+
+def _ref_apply(v, p):
+    a, b, c, d, e, f = v
+    return Point(a * p.x + b * p.y + e, c * p.x + d * p.y + f)
+
+
+def _ref_compose(v, w):
+    a, b, c, d, e, f = v
+    a2, b2, c2, d2, e2, f2 = w
+    return (
+        a * a2 + b * c2, a * b2 + b * d2, c * a2 + d * c2, c * b2 + d * d2,
+        a * e2 + b * f2 + e, c * e2 + d * f2 + f,
+    )
+
+
+def _ref_inverse(v):
+    a, b, c, d, e, f = v
+    det = a * d - b * c
+    ia, ib, ic, id_ = d / det, -b / det, -c / det, a / det
+    return (ia, ib, ic, id_, -(ia * e + ib * f), -(ic * e + id_ * f))
+
+
+def _cramer(src, dst):
+    """Entries of the map sending src to dst by Cramer's rule, or None."""
+    (x1, y1), (x2, y2), (x3, y3) = src
+    det = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
+    if det == 0:
+        return None
+
+    def row(v1, v2, v3):
+        d1, d2 = v2 - v1, v3 - v1
+        m = (d1 * (y3 - y1) - d2 * (y2 - y1)) / det
+        n = ((x2 - x1) * d2 - (x3 - x1) * d1) / det
+        return m, n, v1 - m * x1 - n * y1
+
+    a, b, e = row(*(q.x for q in dst))
+    c, d, f = row(*(q.y for q in dst))
+    return (a, b, c, d, e, f)
+
+
+@given(affine_entries, affine_entries, _points(1))
+def test_affine_map_matches_fraction_reference(v, w, pts):
+    f, g = _affine(v), _affine(w)
+    assert _entries(f) == v
+    assert f(pts[0]) == _ref_apply(v, pts[0])
+    assert _entries(f.compose(g)) == _ref_compose(v, w)
+    if f.is_invertible():
+        assert _entries(f.inverse()) == _ref_inverse(v)
+    else:
+        assert v[0] * v[3] == v[1] * v[2]
+        with pytest.raises(GeometryError):
+            f.inverse()
+
+
 @given(_points(3), _points(3))
 def test_affine_solve_hits_targets(src, dst):
     try:
         f = affine_from_point_pairs(list(zip(src, dst)))
     except CollinearSources:
+        assert _cramer(src, dst) is None
         return
     for p, q in zip(src, dst):
         assert f(p) == q
+    assert _entries(f) == _cramer(src, dst)
+
+
+@given(triangles, affine_entries)
+def test_transformed_is_the_counter_clockwise_image(tri, v):
+    a, b, c, d, e, f = v
+    assume(a * d != b * c)
+    # negating the first row flips the sign of det L
+    for m in (_affine(v), _affine((-a, -b, c, d, e, f))):
+        image = tri.transformed(m)
+        assert image == ConvexPolygon([m(p) for p in tri.vertices])
+        assert image.area == abs(m.linear.det()) * tri.area
+        vs = image.vertices
+        for i in range(len(vs)):
+            (ux, uy), (wx, wy) = vs[i] - vs[i - 1], vs[(i + 1) % len(vs)] - vs[i]
+            assert ux * wy - uy * wx > 0
 
 
 class TestConvexDifference:

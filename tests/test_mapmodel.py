@@ -293,6 +293,8 @@ def test_flattened_piece_blocks_exact_preimages():
     m = build_map(parse_definition(text), expected_pieces=2)
     with pytest.raises(NonInvertiblePiece):
         m.region_preimage(m.domain)
+    with pytest.raises(NonInvertiblePiece):
+        m.region_image(m.domain)
 
 
 def test_serialize_then_parse_is_identity_on_small_maps():
