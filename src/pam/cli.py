@@ -172,10 +172,9 @@ def cmd_orbit(args, out, err) -> int:
     except MapModelError as exc:
         print(f"{type(exc).__name__}: {exc}", file=err)
         return EXIT_VERIFICATION
-    triangles = coding_triangles(t)
     start = Point(args.x, args.y)
     try:
-        record = iterate(t, start, args.depth, triangles)
+        record = iterate(t, start, args.depth)
     except (MapModelError, OrbitLeftRegion, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE

@@ -1,8 +1,8 @@
 """Exact rational planar geometry.
 
-Points, 2x2 matrices, affine maps, convex polygons, clipping, union
-areas and eigenanalysis.  Nothing in this module ever rounds: every
-predicate is decided by integer arithmetic.
+Points, 2x2 matrices, affine maps, convex polygons, clipping, y-slab
+point location, union areas and eigenanalysis.  Nothing in this module
+ever rounds: every predicate is decided by integer arithmetic.
 
 One integer layer carries the work: a polygon keeps its vertices as
 reduced homogeneous integer triples ``(X, Y, W)``, ``W > 0``, and an
@@ -17,6 +17,7 @@ public surface (points, areas, `AffineMap.linear`/`translation`).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Union
@@ -42,7 +43,7 @@ __all__ = [
     "Eigen2Result",
     "eigen2",
     "affine_from_point_pairs",
-    "locate",
+    "SlabIndex",
 ]
 
 Rational = Fraction
@@ -151,6 +152,14 @@ def _hside(line: tuple, p: _HPoint) -> int:
 
 def _hdet3(p: _HPoint, q: _HPoint, r: _HPoint) -> int:
     return _hside(_hcross(p, q), r)
+
+
+def _inside(lines: tuple, x: int, y: int, w: int) -> bool:
+    """Whether the homogeneous point (x, y, w) is weakly left of every line."""
+    for a, b, c in lines:
+        if a * x + b * y + c * w < 0:
+            return False
+    return True
 
 
 def _to_fraction(p: _HPoint) -> Point:
@@ -268,8 +277,7 @@ class ConvexPolygon:
 
     def contains(self, point: Point) -> bool:
         """Closed-set membership (boundary counts as inside)."""
-        hp = _hpoint(_rat(point[0]), _rat(point[1]))
-        return all(_hside(line, hp) >= 0 for line in self._edge_lines())
+        return _inside(self._edge_lines(), *_hpoint(_rat(point[0]), _rat(point[1])))
 
     def edges(self):
         """Yield vertex pairs (p_i, p_{i+1}) around the boundary."""
@@ -277,9 +285,6 @@ class ConvexPolygon:
         n = len(vs)
         for i in range(n):
             yield vs[i], vs[(i + 1) % n]
-
-    def clip(self, other: "ConvexPolygon") -> Optional["ConvexPolygon"]:
-        return clip(self, other)
 
     def transformed(self, f: "AffineMap") -> "ConvexPolygon":
         a, b, e, c, d, t, g = f._m
@@ -332,14 +337,55 @@ def clip(p: ConvexPolygon, q: ConvexPolygon) -> Optional[ConvexPolygon]:
     return ConvexPolygon._from_h(tuple(verts))
 
 
-def locate(polygons: Sequence[ConvexPolygon], point: Point) -> Optional[int]:
-    """Index of the first polygon whose closed set contains `point`, or
-    None when no polygon does."""
-    hp = _hpoint(_rat(point[0]), _rat(point[1]))
-    for i, poly in enumerate(polygons):
-        if all(_hside(line, hp) >= 0 for line in poly._edge_lines()):
-            return i
-    return None
+class SlabIndex:
+    """Point location in a fixed sequence of convex polygons.
+
+    The distinct heights of the polygons' vertices cut the plane into
+    horizontal lines and the open slabs between them.  Each line and
+    each slab keeps, in ascending order, the indices of the polygons
+    whose closed y-range meets it.  A query bisects its height once and
+    runs the closed half-plane test on that list only, so `locate`
+    returns what a scan of every polygon would: the lowest index whose
+    closed polygon contains the point, or None.
+    """
+
+    __slots__ = ("_heights", "_cells")
+
+    def __init__(self, polygons: Iterable[ConvexPolygon]):
+        ranges = []
+        heights = set()
+        for poly in polygons:
+            ys = [Fraction(y, w) for _, y, w in poly._h]
+            heights.update(ys)
+            ranges.append((min(ys), max(ys), poly._edge_lines()))
+        self._heights = sorted(heights)
+
+        def meeting(lo, hi):
+            return tuple(
+                (i, lines) for i, (y0, y1, lines) in enumerate(ranges) if y0 <= lo and hi <= y1
+            )
+
+        # cell 2k + 1 is the line y = heights[k], cell 2k the open slab
+        # just below it; nothing lies below the lowest or above the highest
+        cells = [()]
+        for k, h in enumerate(self._heights):
+            if k:
+                cells.append(meeting(self._heights[k - 1], h))
+            cells.append(meeting(h, h))
+        cells.append(())
+        self._cells = tuple(cells)
+
+    def locate(self, point: Point) -> Optional[int]:
+        x, y = _rat(point[0]), _rat(point[1])
+        heights = self._heights
+        k = bisect_left(heights, y)
+        cell = self._cells[2 * k + (k < len(heights) and heights[k] == y)]
+        if cell:
+            hx, hy, hw = _hpoint(x, y)
+            for i, lines in cell:
+                if _inside(lines, hx, hy, hw):
+                    return i
+        return None
 
 
 def _union_area(polys: Sequence[ConvexPolygon]) -> Fraction:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .geometry import AffineMap, ConvexPolygon, Point, clip
-from .mapmodel import NonInvertiblePiece, OutsideDomain, PiecewiseAffineMap
+from .mapmodel import NonInvertiblePiece, OutsideDomain, PiecewiseAffineMap, UnknownLabel
 
 __all__ = [
     "SymbolicError",
@@ -127,21 +127,28 @@ def iterate(
     n: int,
     triangles: Optional[CodingTriangles] = None,
 ) -> OrbitRecord:
-    """Exact orbit p, T(p), ..., T^n(p) with signs and coding letters."""
+    """Exact orbit p, T(p), ..., T^n(p) with signs and coding letters.
+
+    `triangles` defaults to the corrected coding triangles of `t`; a map
+    that does not name their vertices codes every point as None.
+    """
     if n < 0:
         raise ValueError("orbit length must be nonnegative")
     if triangles is None:
-        triangles = coding_triangles(t)
+        try:
+            triangles = coding_triangles(t)
+        except UnknownLabel:
+            pass
     points = [Point(Fraction(p[0]), Fraction(p[1]))]
     if not t.domain.contains(points[0]):
         raise OutsideDomain(f"point {points[0]} is not in the domain")
     for _ in range(n):
         points.append(t.evaluate(points[-1]))
-    return OrbitRecord(
-        tuple(points),
-        tuple(_sign(q.x) for q in points),
-        tuple(triangles.classify(q) for q in points),
-    )
+    if triangles is None:
+        coding = (None,) * len(points)
+    else:
+        coding = tuple(triangles.classify(q) for q in points)
+    return OrbitRecord(tuple(points), tuple(_sign(q.x) for q in points), coding)
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,16 @@ def test_non_standard_map_names_the_missing_label(capsys, tmp_path, subcommand):
     assert err.startswith("UnknownLabel: the map has no ")
 
 
+def test_orbit_on_a_map_without_the_coding_names(capsys, tmp_path):
+    path = tmp_path / "identity.map"
+    path.write_text(SQUARE_IDENTITY)
+    code, out, err = run(capsys, ["orbit", "0", "1", "--map", str(path), "--depth", "3"])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["step\tx\ty\tsign\tletter"] + [
+        f"{k}\t0\t1\t0\t-" for k in range(4)
+    ]
+
+
 # the bundled map with W^c sent to W: it still builds, but the piece
 # W^cA^tW^t is flattened onto a segment
 FLATTENED_PIECE = standard_definition_text().replace(
@@ -174,6 +184,18 @@ def test_flattened_piece_is_named(capsys, tmp_path, argv):
 
 
 # -- verify ------------------------------------------------------------------
+
+
+def test_verify_reports_every_property_despite_a_flattened_piece(capsys, tmp_path):
+    path = tmp_path / "flattened.map"
+    path.write_text(FLATTENED_PIECE)
+    code, out, err = run(capsys, ["verify", "--map", str(path)])
+    assert code == 2
+    assert out.count("property: ") == 10
+    assert err == (
+        "FAILED: 01-fixed-points, 07-preimage-new, 08-folding, 09-left-right, "
+        "10-was-analysis\n"
+    )
 
 
 def test_verify_bundled_report(capsys, tmp_path):

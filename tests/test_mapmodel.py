@@ -23,6 +23,8 @@ from pam.mapmodel import (
     standard_definition_text,
     standard_map,
 )
+from pam.symbolic import confined_start
+from test_cli import SQUARE_IDENTITY
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +195,111 @@ def test_value_is_single_valued_across_pieces(p):
         if piece.domain.contains(p)
     }
     assert len(values) == 1
+
+
+# ---------------------------------------------------------------------------
+# point location
+
+
+def _bundled_reversed():
+    data = parse_definition(standard_definition_text())
+    data.triangles.reverse()
+    return build_map(data)
+
+
+# the bundled map; the same pieces listed bottom first, so that a tie on a
+# cut line goes to the piece below it; two pieces that span every slab
+LOCATION_MAPS = (
+    standard_map(),
+    _bundled_reversed(),
+    build_map(parse_definition(SQUARE_IDENTITY), expected_pieces=2),
+)
+
+
+def _scan(m, p):
+    """The lowest-index piece whose closed domain contains p, by Fraction
+    cross products against each counter-clockwise edge."""
+    for i, piece in enumerate(m.pieces):
+        if all(
+            (v.x - u.x) * (p.y - u.y) - (v.y - u.y) * (p.x - u.x) >= 0
+            for u, v in piece.domain.edges()
+        ):
+            return i
+    return None
+
+
+def _heights(m):
+    return sorted({v.y for piece in m.pieces for v in piece.domain.vertices})
+
+
+def _chord(poly, y):
+    """The x-range of a convex polygon on the line at height y."""
+    xs = []
+    for u, v in poly.edges():
+        if u.y == v.y == y:
+            xs += [u.x, v.x]
+        elif min(u.y, v.y) <= y <= max(u.y, v.y) and u.y != v.y:
+            xs.append(u.x + (v.x - u.x) * (y - u.y) / (v.y - u.y))
+    return min(xs), max(xs)
+
+
+unit = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
+
+
+@st.composite
+def probes(draw, m):
+    """Points of Q where location is delicate: partition vertices, shared
+    edges, cut heights, generic rationals and hundreds-bit drift starts."""
+    kind = draw(st.sampled_from(["vertex", "edge", "cut", "generic", "drift"]))
+    if kind == "vertex":
+        piece = draw(st.sampled_from(m.pieces))
+        return draw(st.sampled_from(piece.domain.vertices))
+    if kind == "edge":
+        u, v = draw(st.sampled_from(list(draw(st.sampled_from(m.pieces)).domain.edges())))
+        return u + (v - u).scaled(draw(unit))
+    if kind == "cut":
+        y = draw(st.sampled_from(_heights(m)))
+        lo, hi = _chord(m.domain, y)
+        return Point(lo + (hi - lo) * draw(unit), y)
+    if kind == "generic":
+        weights = [draw(unit) for _ in m.domain.vertices]
+        total = sum(weights) or F(1)
+        return Point(
+            sum(w * v.x for w, v in zip(weights, m.domain.vertices)) / total,
+            sum(w * v.y for w, v in zip(weights, m.domain.vertices)) / total,
+        )
+    return confined_start(draw(st.lists(st.integers(0, 1), min_size=100, max_size=100)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_piece_at_is_the_lowest_index_scan(data):
+    m = data.draw(st.sampled_from(LOCATION_MAPS))
+    p = data.draw(probes(m))
+    i, piece = m.piece_at(p)
+    assert i == _scan(m, p)
+    assert piece is m.pieces[i]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_piece_at_rejects_points_off_q(data):
+    m = data.draw(st.sampled_from(LOCATION_MAPS))
+    heights = _heights(m)
+    eps = data.draw(st.fractions(min_value=F(1, 10**30), max_value=1))
+    side = data.draw(st.sampled_from(["above", "below", "left", "right"]))
+    if side in ("above", "below"):
+        y = heights[-1] + eps if side == "above" else heights[0] - eps
+        p = Point(data.draw(st.fractions(-2, 2, max_denominator=1000)), y)
+    else:
+        y = heights[0] + (heights[-1] - heights[0]) * data.draw(unit)
+        if data.draw(st.booleans()):
+            y = data.draw(st.sampled_from(heights))
+        lo, hi = _chord(m.domain, y)
+        p = Point(lo - eps if side == "left" else hi + eps, y)
+    assert _scan(m, p) is None
+    with pytest.raises(OutsideDomain):
+        m.piece_at(p)
 
 
 # ---------------------------------------------------------------------------

@@ -205,3 +205,30 @@ def test_fixed_segment_fails_when_its_end_moves():
         "FAIL: W^cA^cS fixes both ends of its part [(-3/4, 1/2) (0, 0)] of [W^c S], "
         "hence all of it [T((-3/4, 1/2)) = (-3/2, 1)]"
     ]
+
+
+def test_flattened_piece_fails_the_properties_that_need_its_inverse():
+    # the same tampered map: W^cA^tW^t is flattened onto a segment, so
+    # the properties stated through images and preimages cannot hold
+    data = parse_definition(standard_definition_text())
+    data.images["W^c"] = data.vertices["W"]
+    data.image_names["W^c"] = "W"
+    tampered = build_map(data, expected_pieces=31)
+
+    reports = verify_map(tampered)
+    assert [r.property_id for r in reports] == [r.property_id for r in verify_map()]
+    singular = {
+        r.property_id: r.witnesses
+        for r in reports
+        if "FAIL: every piece is invertible [NonInvertiblePiece: W^cA^tW^t]" in r.witnesses
+    }
+    assert sorted(singular) == [
+        "07-preimage-new", "08-folding", "09-left-right", "10-was-analysis"
+    ]
+    assert all(len(w) == 1 for w in singular.values())
+    status = {r.property_id: r.status for r in reports}
+    assert all(status[pid] == "fail" for pid in singular)
+    # the fixed-segment failure is the one the previous test pins down
+    assert [status[pid] for pid in sorted(status) if pid not in singular] == [
+        "fail", "pass", "pass", "pass", "pass", "pass"
+    ]
