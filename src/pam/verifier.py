@@ -549,7 +549,9 @@ def analyze_WAS(t: PiecewiseAffineMap) -> PropertyReport:
 
     expanding = t.piece_with_corners("W^tW^cA^t")
     eig = eigen2(expanding.map.linear)
-    values = ", ".join(format_rational(v) for v in eig.eigenvalues)
+    # str gives p/q for a Fraction, as format_rational does, and a surd
+    # for an irrational eigenvalue
+    values = ", ".join(str(v) for v in eig.eigenvalues)
     chk.expect(
         set(eig.eigenvalues) == {Fraction(5, 3), Fraction(5, 4)},
         f"{expanding.name}: eigenvalues {values}, both > 1 (expanding)",
@@ -558,7 +560,7 @@ def analyze_WAS(t: PiecewiseAffineMap) -> PropertyReport:
 
     neutral = t.piece_with_corners("W^cA^cA^t")
     eig = eigen2(neutral.map.linear)
-    values = ", ".join(format_rational(v) for v in eig.eigenvalues)
+    values = ", ".join(str(v) for v in eig.eigenvalues)
     pairs = dict(eig.rational_pairs())
     chk.expect(
         set(eig.eigenvalues) == {Fraction(5, 2), Fraction(1)}

@@ -4,12 +4,19 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pam.cli import main
+from pam.geometry import format_rational
 from pam.mapmodel import standard_definition_text
 
 # a unit square split into three triangles with a T-junction at m=(1,1):
@@ -181,6 +188,98 @@ def test_flattened_piece_is_named(capsys, tmp_path, argv):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("NonInvertiblePiece: ")
+
+
+def _swap_images(text, a, b):
+    """The definition with the image targets of vertices a and b swapped."""
+    lines = text.splitlines(keepends=True)
+    i, j = (
+        next(k for k, line in enumerate(lines) if line.startswith(f"image {v} "))
+        for v in (a, b)
+    )
+    ti, tj = lines[i].split(), lines[j].split()
+    ti[2:], tj[2:] = tj[2:], ti[2:]
+    lines[i], lines[j] = " ".join(ti) + "\n", " ".join(tj) + "\n"
+    return "".join(lines)
+
+
+def test_verify_survives_a_surd_eigenvalue(capsys, tmp_path):
+    # W^cA^cA^t then has the eigenvalues 1/2 ± 1/6*sqrt(-51), which
+    # analyze_WAS must format as surds rather than crash on
+    path = tmp_path / "surd.map"
+    path.write_text(_swap_images(standard_definition_text(), "A^t", "B^c"))
+    code, out, err = run(capsys, ["verify", "--map", str(path)])
+    assert code == 2
+    assert out.count("property: ") == 10
+    assert err.count("\n") == 1
+    assert err.startswith("FAILED: ") and "10-was-analysis" in err
+
+
+def test_cylinders_counts_an_escaping_drift_orbit_as_failed(capsys, tmp_path, no_seed):
+    path = tmp_path / "escape.map"
+    path.write_text(_swap_images(standard_definition_text(), "S", "W"))
+    code, out, err = run(capsys, ["cylinders", "--map", str(path)])
+    assert code == 2
+    assert "drift identity exact: 0/32" in out
+    assert "drift inequality holds: 0/32" in out
+    assert out.endswith("status: fail\n")
+    assert err.count("\n") == 1
+    assert err.startswith("OrbitLeftRegion: step ")
+
+
+@st.composite
+def mutants(draw):
+    """The bundled definition with one line dropped or duplicated, one
+    vertex coordinate nudged by 1/1000, two image targets swapped, or
+    one token garbled."""
+    lines = standard_definition_text().splitlines(keepends=True)
+    kind = draw(st.sampled_from(["drop", "duplicate", "nudge", "swap", "garble"]))
+    if kind in ("drop", "duplicate"):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i : i + 1] = [] if kind == "drop" else [lines[i]] * 2
+        return "".join(lines)
+    if kind == "nudge":
+        i = draw(st.sampled_from([k for k, line in enumerate(lines) if line.startswith("vertex ")]))
+        tokens = lines[i].split()
+        axis = draw(st.sampled_from([2, 3]))
+        step = Fraction(draw(st.sampled_from([1, -1])), 1000)
+        tokens[axis] = format_rational(Fraction(tokens[axis]) + step)
+        lines[i] = " ".join(tokens) + "\n"
+        return "".join(lines)
+    text = "".join(lines)
+    if kind == "swap":
+        names = [line.split()[1] for line in lines if line.startswith("image ")]
+        a, b = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
+        return _swap_images(text, a, b)
+    i = draw(st.integers(0, len(lines) - 1))
+    tokens = lines[i].split()
+    if tokens:
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+            st.sampled_from(["?", "1/0", "Z^z", "-", "triangle", "1e999"])
+        )
+    lines[i] = " ".join(tokens) + "\n"
+    return "".join(lines)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(mutants())
+def test_mutated_map_ends_in_a_verdict(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutant.map"
+        path.write_text(text)
+        for argv in (
+            ["build"],
+            ["verify"],
+            ["cylinders", "--depth", "3", "--samples", "2"],
+        ):
+            out, err = StringIO(), StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([*argv, "--map", str(path)])
+            assert code in (0, 2, 3), argv
+            if code != 0:
+                assert err.getvalue() or "FAIL" in out.getvalue() or (
+                    "status: fail" in out.getvalue()
+                ), argv
 
 
 # -- verify ------------------------------------------------------------------

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pam.geometry import Matrix2, Point, region_area, symdiff_area
+from pam.geometry import (
+    ConvexPolygon,
+    Matrix2,
+    Point,
+    affine_from_point_pairs,
+    region_area,
+    symdiff_area,
+)
 from pam.mapmodel import (
     ContinuityViolation,
     CoverageViolation,
@@ -212,7 +219,7 @@ def _bundled_reversed():
 LOCATION_MAPS = (
     standard_map(),
     _bundled_reversed(),
-    build_map(parse_definition(SQUARE_IDENTITY), expected_pieces=2),
+    build_map(parse_definition(SQUARE_IDENTITY)),
 )
 
 
@@ -350,7 +357,7 @@ def test_build_map_detects_tile_gaps():
         "image a a\nimage b b\nimage c c\nimage d d\n"
     )
     with pytest.raises(CoverageViolation):
-        build_map(parse_definition(text), expected_pieces=1)
+        build_map(parse_definition(text))
 
 
 def test_build_map_detects_overlaps():
@@ -359,7 +366,7 @@ def test_build_map_detects_overlaps():
         "image a a\nimage b b\nimage c c\nimage d d\n"
     )
     with pytest.raises(CoverageViolation):
-        build_map(parse_definition(text), expected_pieces=3)
+        build_map(parse_definition(text))
 
 
 def test_build_map_detects_discontinuity_at_t_junction():
@@ -371,7 +378,92 @@ def test_build_map_detects_discontinuity_at_t_junction():
         "image a a\nimage b b\nimage c c\nimage d d\nimage m 1 0\n"
     )
     with pytest.raises(ContinuityViolation):
-        build_map(parse_definition(text), expected_pieces=3)
+        build_map(parse_definition(text))
+
+
+def _shared_segment(a: ConvexPolygon, b: ConvexPolygon):
+    """Endpoints of the (possibly partial) boundary segment shared by two
+    convex polygons, or None.  Works edge against edge: two edges
+    contribute when they lie on one line and their parameter intervals
+    overlap in more than a point."""
+    for u1, u2 in a.edges():
+        du = (u2.x - u1.x, u2.y - u1.y)
+        for v1, v2 in b.edges():
+            if (
+                du[0] * (v1.y - u1.y) != du[1] * (v1.x - u1.x)
+                or du[0] * (v2.y - u1.y) != du[1] * (v2.x - u1.x)
+            ):
+                continue
+            axis = 0 if abs(du[0]) >= abs(du[1]) else 1
+            lo_u, hi_u = sorted((u1[axis], u2[axis]))
+            lo_v, hi_v = sorted((v1[axis], v2[axis]))
+            lo, hi = max(lo_u, lo_v), min(hi_u, hi_v)
+            if lo >= hi:
+                continue
+
+            def at(t):
+                if axis == 0:
+                    return Point(t, u1.y + du[1] * (t - u1.x) / du[0])
+                return Point(u1.x + du[0] * (t - u1.y) / du[1], t)
+
+            return at(lo), at(hi)
+    return None
+
+
+def _disagreeing_pair(data):
+    """Reference continuity check: the first pair of pieces whose maps
+    differ at an end of their shared boundary segment, or None."""
+    pieces = [
+        (
+            ConvexPolygon([data.vertices[n] for n in corners]),
+            affine_from_point_pairs([(data.vertices[n], data.images[n]) for n in corners]),
+        )
+        for _, corners in data.triangles
+    ]
+    for i, (da, fa) in enumerate(pieces):
+        for db, fb in pieces[i + 1 :]:
+            seg = _shared_segment(da, db)
+            if seg is not None and any(fa(e) != fb(e) for e in seg):
+                return da, db
+    return None
+
+
+# the junction m sits inside an edge of one piece and is a corner of the
+# two pieces across it: on the diagonal a-c, or on the interior edge a-o
+# of a square fanned around its center o
+JUNCTION_LAYOUTS = {
+    "diagonal": ("c", "triangle abc a b c\ntriangle amd a m d\ntriangle mcd m c d\n"),
+    "edge": (
+        "o",
+        "triangle abo a b o\ntriangle bco b c o\ntriangle cdo c d o\n"
+        "triangle dam d a m\ntriangle dmo d m o\n",
+    ),
+}
+square_coord = st.fractions(min_value=0, max_value=2, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_corner_continuity_matches_the_shared_segment_reference(data):
+    layout = data.draw(st.sampled_from(sorted(JUNCTION_LAYOUTS)))
+    far, triangles = JUNCTION_LAYOUTS[layout]
+    corners = {"a": Point(F(0), F(0)), "b": Point(F(2), F(0)),
+               "c": Point(F(2), F(2)), "d": Point(F(0), F(2)), "o": Point(F(1), F(1))}
+    t = data.draw(st.fractions(min_value=F(1, 12), max_value=F(11, 12), max_denominator=12))
+    corners["m"] = corners["a"] + (corners[far] - corners["a"]).scaled(t)
+    images = {n: Point(data.draw(square_coord), data.draw(square_coord)) for n in corners}
+    if data.draw(st.booleans()):
+        images["m"] = images["a"] + (images[far] - images["a"]).scaled(t)
+    text = SQUARE_PREFIX + "".join(
+        f"vertex {n} {p.x} {p.y}\n" for n, p in corners.items() if n in "mo"
+    ) + triangles + "".join(f"image {n} {p.x} {p.y}\n" for n, p in images.items())
+    definition = parse_definition(text)
+    expected = _disagreeing_pair(definition)
+    if expected is None:
+        build_map(definition)
+    else:
+        with pytest.raises(ContinuityViolation):
+            build_map(definition)
 
 
 def test_build_map_detects_escaping_images():
@@ -380,7 +472,7 @@ def test_build_map_detects_escaping_images():
         "image a a\nimage b 3 0\nimage c c\nimage d d\n"
     )
     with pytest.raises(ImageOutsideDomain):
-        build_map(parse_definition(text), expected_pieces=2)
+        build_map(parse_definition(text))
 
 
 def test_build_map_requires_images_for_used_vertices():
@@ -389,7 +481,7 @@ def test_build_map_requires_images_for_used_vertices():
         "image a a\nimage b b\nimage c c\n"
     )
     with pytest.raises(MapDefinitionError, match="no image given for d"):
-        build_map(parse_definition(text), expected_pieces=2)
+        build_map(parse_definition(text))
 
 
 def test_flattened_piece_blocks_exact_preimages():
@@ -397,7 +489,7 @@ def test_flattened_piece_blocks_exact_preimages():
         "triangle abc a b c\ntriangle acd a c d\n"
         "image a a\nimage b b\nimage c 1 0\nimage d d\n"
     )
-    m = build_map(parse_definition(text), expected_pieces=2)
+    m = build_map(parse_definition(text))
     with pytest.raises(NonInvertiblePiece):
         m.region_preimage(m.domain)
     with pytest.raises(NonInvertiblePiece):
@@ -409,6 +501,6 @@ def test_serialize_then_parse_is_identity_on_small_maps():
         "triangle abc a b c\ntriangle acd a c d\n"
         "image a a\nimage b b\nimage c c\nimage d 1 1\n"
     )
-    m = build_map(parse_definition(text), expected_pieces=2)
-    again = build_map(parse_definition(serialize_definition(m)), expected_pieces=2)
+    m = build_map(parse_definition(text))
+    again = build_map(parse_definition(serialize_definition(m)))
     assert again == m

@@ -141,7 +141,7 @@ def test_top_attraction_fails_when_a_base_image_drops():
     data = parse_definition(standard_definition_text())
     data.images["O"] = data.vertices["O^t"]
     data.image_names["O"] = "O^t"
-    tampered = build_map(data, expected_pieces=31)
+    tampered = build_map(data)
 
     report = {r.property_id: r for r in verify_map(tampered)}["02-top-attraction"]
     assert report.status == "fail"
@@ -157,7 +157,7 @@ def test_tampered_map_fails_verification():
     data = parse_definition(standard_definition_text())
     data.images["C^c"] = data.vertices["C^c"]
     data.image_names["C^c"] = "C^c"
-    tampered = build_map(data, expected_pieces=31)
+    tampered = build_map(data)
 
     markov = verify_markov(tampered)
     assert markov.status == "fail"
@@ -196,7 +196,7 @@ def test_fixed_segment_fails_when_its_end_moves():
     data = parse_definition(standard_definition_text())
     data.images["W^c"] = data.vertices["W"]
     data.image_names["W^c"] = "W"
-    tampered = build_map(data, expected_pieces=31)
+    tampered = build_map(data)
 
     report = verify_fixed_points(tampered)
     assert report.status == "fail"
@@ -213,7 +213,7 @@ def test_flattened_piece_fails_the_properties_that_need_its_inverse():
     data = parse_definition(standard_definition_text())
     data.images["W^c"] = data.vertices["W"]
     data.image_names["W^c"] = "W"
-    tampered = build_map(data, expected_pieces=31)
+    tampered = build_map(data)
 
     reports = verify_map(tampered)
     assert [r.property_id for r in reports] == [r.property_id for r in verify_map()]
