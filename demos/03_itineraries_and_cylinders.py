@@ -2,7 +2,7 @@
 
 Points near the bottom corner S visit two coding triangles (letter 0 on
 the left, letter 1 on the right).  The set of points sharing a given
-letter prefix — a cylinder — is computed by exact backward clipping.
+letter prefix — a cylinder — is computed by exact clipping.
 Depth by depth the full binary tree of words stays alive (2^n nonempty
 cylinders), while each cylinder's horizontal extent collapses at least
 four-fold per letter.

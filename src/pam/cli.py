@@ -53,6 +53,11 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 2
 EXIT_USAGE = 3
 
+# the deepest census `pam cylinders` runs: on the bundled map depth 16
+# takes about 6 s and 100 MB (one thread, Python 3.11), and each further
+# level about doubles both
+MAX_CYLINDER_DEPTH = 16
+
 
 class _UsageError(Exception):
     """Bad flags, unreadable paths, malformed numbers: exit status 3."""
@@ -184,6 +189,8 @@ def cmd_cylinders(args, out, err) -> int:
     except ValueError:
         print(f"error: PAM_SEED must be an integer, got {seed_text!r}", file=err)
         return EXIT_USAGE
+    if args.depth > MAX_CYLINDER_DEPTH:
+        raise _UsageError(f"--depth {args.depth} is above the ceiling of {MAX_CYLINDER_DEPTH}")
     t = _load_map(args.map)
     triangles = coding_triangles(t)
     counts = census(t, args.depth, triangles).counts
@@ -316,7 +323,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("cylinders", help="count itinerary cells, check drift")
     add_map(p)
     p.add_argument("--depth", type=_positive_int, default=8, metavar="N",
-                   help="deepest cell level to count (default 8)")
+                   help=f"deepest cell level to count (default 8,"
+                        f" at most {MAX_CYLINDER_DEPTH})")
     p.add_argument("--samples", type=_positive_int, default=32, metavar="N",
                    help="random confined orbits to drift-check (default 32)")
     p.add_argument("--orbit-length", type=_positive_int, default=40, metavar="N",

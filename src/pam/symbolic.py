@@ -7,14 +7,17 @@ and cone properties actually hold; "literal" mode uses the base-row
 triangles ABS and CDS instead.  Both are exposed because the two
 readings genuinely differ and picking silently would hide that.
 
-Cylinders C_n = ⋂_{k≤n} T^{-k}(P_{w_k}) are computed by exact backward
-clipping.  A cylinder is generally *not* convex — the map folds — so
-each level is stored as a list of convex cells, each cell carrying the
-single affine branch of T^n defined on it.  Horizontal widths contract
-by at least 4 per level, which is the mechanism behind the coding.
-`census` walks the whole word tree once, sharing prefixes, and returns
-the number of nonempty cylinders at every depth together with the
-widest fiber at the deepest one.
+Cylinders C_n = ⋂_{k≤n} T^{-k}(P_{w_k}) are computed by exact clipping
+in the image frame.  A cylinder is generally *not* convex — the map
+folds — so each level is a list of convex cells, each with the single
+affine branch g of T^n defined on it.  The descent carries the image
+g(cell) rather than the cell: it lies inside a coding triangle, so its
+coordinates stay small, and one step is branch(clip(g(cell), part)),
+exact because clip(g⁻¹X, g⁻¹Y) = g⁻¹clip(X, Y).  Horizontal widths
+contract by at least 4 per level, which is the mechanism behind the
+coding.  `census` walks the whole word tree once, sharing prefixes and
+repeated image cells, and returns the number of nonempty cylinders at
+every depth together with the widest fiber at the deepest one.
 
 On the two bottom coding pieces the map is linear with vertical
 multipliers exactly 1/2 and 2, giving the exact drift identity
@@ -163,17 +166,23 @@ def _as_word(word) -> Tuple[int, ...]:
 
 
 class _Branches:
-    """Per-letter list of (reachable target part, branch map) pairs.
+    """Per-letter list of (part, branch, shrink) triples, in the image frame.
 
-    Stepping a cylinder one level means: keep the part of each cell
-    whose current image lands in some piece's domain intersected with
-    the requested coding triangle, and compose that piece's map on top.
+    `part` is the part of a piece whose next image lands in the requested
+    coding triangle, so stepping an image cell J one level keeps
+    branch(clip(J, part)) for each triple that meets it.
+
+    `shrink` is |1/a| for a branch with c = 0: such a branch sends
+    horizontal lines to horizontal lines and stretches them by |a|, so a
+    chord of the image pulls back to a chord `shrink` times as long.  It
+    is None for a branch that shears horizontals (c != 0), below which
+    widths are measured by pulling the leaves back.
     """
 
     def __init__(self, t: PiecewiseAffineMap, triangles: CodingTriangles):
         self.per_letter = []
         for target in (triangles.p0, triangles.p1):
-            pairs = []
+            triples = []
             for piece in t.pieces:
                 if not piece.map.is_invertible():
                     raise NonInvertiblePiece(piece.name)
@@ -182,17 +191,19 @@ class _Branches:
                 pulled = target.transformed(piece.map.inverse())
                 part = clip(piece.domain, pulled)
                 if part is not None:
-                    pairs.append((part, piece.map))
-            self.per_letter.append(pairs)
+                    linear = piece.map.linear
+                    shrink = abs(1 / linear.a) if linear.c == 0 else None
+                    triples.append((part, piece.map, shrink))
+            self.per_letter.append(triples)
 
-    def step(self, cells, letter: int):
+    def step(self, cell: ConvexPolygon, letter: int):
+        """The children of image cell `cell` under `letter`, as
+        (image, branch, shrink) triples."""
         out = []
-        for poly, g in cells:
-            back = g.inverse()
-            for part, branch in self.per_letter[letter]:
-                cell = clip(poly, part.transformed(back))
-                if cell is not None:
-                    out.append((cell, branch.compose(g)))
+        for part, branch, shrink in self.per_letter[letter]:
+            kept = clip(cell, part)
+            if kept is not None:
+                out.append((kept.transformed(branch), branch, shrink))
         return out
 
 
@@ -232,11 +243,16 @@ def cylinder(
         triangles = coding_triangles(t)
     branches = _Branches(t, triangles)
     target0 = triangles.p0 if letters[0] == 0 else triangles.p1
+    # (image cell, composite branch carrying the cylinder cell onto it)
     cells = [(target0, AffineMap.identity())]
-    levels = [tuple(c for c, _ in cells)]
+    levels = [(target0,)]
     for letter in letters[1:]:
-        cells = branches.step(cells, letter)
-        levels.append(tuple(c for c, _ in cells))
+        cells = [
+            (image, branch.compose(g))
+            for cell, g in cells
+            for image, branch, _ in branches.step(cell, letter)
+        ]
+        levels.append(tuple(image.transformed(g.inverse()) for image, g in cells))
     return CylinderChain(letters, tuple(levels))
 
 
@@ -245,27 +261,32 @@ def _max_chord(cell: ConvexPolygon) -> Fraction:
 
     Chord length is a concave piecewise-linear function of the height, so
     the maximum is attained at the height of some vertex; it suffices to
-    scan those heights.
+    scan those heights.  The scan runs on the homogeneous integer
+    vertices and builds one Fraction.
     """
-    verts = cell.vertices
+    verts = cell._h
     m = len(verts)
-    best = Fraction(0)
-    for h in sorted({v.y for v in verts}):
-        xs = []
+    best_num, best_den = 0, 1
+    for _, y, w in verts:
+        # the sign of each vertex's height above y/w
+        sides = [p[1] * w - y * p[2] for p in verts]
+        # where the boundary meets that height, as (numerator, W > 0):
+        # one vertex, or two ends, since the polygon is convex
+        ends = []
         for i in range(m):
+            si, sj = sides[i], sides[i + 1 - m]
             a = verts[i]
-            b = verts[(i + 1) % m]
-            if a.y == h:
-                xs.append(a.x)
-            lo, hi = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
-            if lo < h < hi:
-                s = (h - a.y) / (b.y - a.y)
-                xs.append(a.x + (b.x - a.x) * s)
-        if xs:
-            width = max(xs) - min(xs)
-            if width > best:
-                best = width
-    return best
+            if si == 0:
+                ends.append((a[0], a[2]))
+            elif (si > 0 > sj) or (si < 0 < sj):
+                b = verts[i + 1 - m]
+                num, den = sj * a[0] - si * b[0], sj * a[2] - si * b[2]
+                ends.append((num, den) if den > 0 else (-num, -den))
+        (n1, d1), (n2, d2) = ends[0], ends[-1]
+        num, den = abs(n1 * d2 - n2 * d1), d1 * d2
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return Fraction(best_num, best_den)
 
 
 def fiber_width(chain: CylinderChain, n: int) -> Fraction:
@@ -299,6 +320,84 @@ class CylinderCensus:
     widths: Dict[int, Fraction]
 
 
+class _Descent:
+    """The memo tables of one census, keyed by image cells.
+
+    Identical image cells recur across words, and what grows below a
+    word depends only on the set of its image cells, so each entry is
+    computed once per census.  Every word is still decided by exact
+    clipping; the tables only avoid repeating one.  The tables form no
+    reference cycle, so they are freed as soon as census returns.
+    """
+
+    def __init__(self, branches: _Branches):
+        self.branches = branches
+        self._children: dict = {}  # (cell, letter) -> branches.step(cell, letter)
+        self._counts: dict = {}  # (frozenset of cells, depth) -> counts
+        self._widths: dict = {}  # (cell, depth) -> widest chord in the cell's frame
+
+    def children(self, cell: ConvexPolygon, letter: int):
+        key = (cell, letter)
+        got = self._children.get(key)
+        if got is None:
+            got = self._children[key] = self.branches.step(cell, letter)
+        return got
+
+    def count(self, cells: frozenset, depth: int) -> Tuple[int, ...]:
+        """Nonempty words of each length 0..depth extending a word whose
+        image cells are `cells`."""
+        key = (cells, depth)
+        got = self._counts.get(key)
+        if got is None:
+            total = [1] + [0] * depth
+            if depth:
+                for letter in (0, 1):
+                    nxt = frozenset(
+                        image for cell in cells for image, _, _ in self.children(cell, letter)
+                    )
+                    if nxt:
+                        for k, c in enumerate(self.count(nxt, depth - 1), 1):
+                            total[k] += c
+            got = self._counts[key] = tuple(total)
+        return got
+
+    def widest(self, cell: ConvexPolygon, depth: int) -> Fraction:
+        """Widest horizontal chord over the leaf cells `depth` levels
+        below `cell`, measured in the frame of `cell`."""
+        key = (cell, depth)
+        got = self._widths.get(key)
+        if got is None:
+            if depth == 0:
+                got = _max_chord(cell)
+            else:
+                got = Fraction(0)
+                for letter in (0, 1):
+                    for image, branch, shrink in self.children(cell, letter):
+                        if shrink is None:
+                            width = self.pulled(image, depth - 1, branch)
+                        else:
+                            width = self.widest(image, depth - 1) * shrink
+                        if width > got:
+                            got = width
+            self._widths[key] = got
+        return got
+
+    def pulled(self, cell: ConvexPolygon, depth: int, g: AffineMap) -> Fraction:
+        """Widest chord over the leaf cells `depth` levels below `cell`,
+        measured in the frame that `g` carries onto `cell`, by pulling
+        each leaf back through its composite: exact below a branch that
+        shears horizontals."""
+        if depth == 0:
+            return _max_chord(cell.transformed(g.inverse()))
+        best = Fraction(0)
+        for letter in (0, 1):
+            for image, branch, _ in self.children(cell, letter):
+                width = self.pulled(image, depth - 1, branch.compose(g))
+                if width > best:
+                    best = width
+        return best
+
+
 def census(
     t: PiecewiseAffineMap,
     n: int,
@@ -316,24 +415,13 @@ def census(
         raise ValueError("need n >= 1")
     if triangles is None:
         triangles = coding_triangles(t)
-    branches = _Branches(t, triangles)
+    descent = _Descent(_Branches(t, triangles))
     counts = [0] * n
-
-    def walk(cells, length: int) -> Fraction:
-        counts[length - 1] += 1
-        if length == n:
-            return max((_max_chord(cell) for cell, _ in cells), default=Fraction(0))
-        best = Fraction(0)
-        for letter in (0, 1):
-            nxt = branches.step(cells, letter)
-            if nxt:
-                best = max(best, walk(nxt, length + 1))
-        return best
-
-    widths = {
-        letter: walk([(target, AffineMap.identity())], 1)
-        for letter, target in ((0, triangles.p0), (1, triangles.p1))
-    }
+    widths = {}
+    for letter, target in ((0, triangles.p0), (1, triangles.p1)):
+        for k, c in enumerate(descent.count(frozenset((target,)), n - 1)):
+            counts[k] += c
+        widths[letter] = descent.widest(target, n - 1)
     return CylinderCensus(tuple(counts), widths)
 
 

@@ -190,6 +190,31 @@ class _Check:
         )
 
 
+def _property(property_id: str):
+    """Make a check body ``body(t, chk)`` into ``verify(t) -> PropertyReport``.
+
+    A flattened piece has no exact inverse, so the images and preimages
+    a property is stated in cannot be formed: the property then fails,
+    naming the piece after the witnesses already gathered.
+    """
+
+    def decorate(body: Callable) -> Callable:
+        def verify(t: PiecewiseAffineMap) -> PropertyReport:
+            chk = _Check()
+            try:
+                body(t, chk)
+            except NonInvertiblePiece as exc:
+                chk.expect(False, "every piece is invertible", f"NonInvertiblePiece: {exc}")
+            return chk.report(property_id)
+
+        # not functools.wraps: its __wrapped__ would show body's signature
+        verify.__name__ = verify.__qualname__ = body.__name__
+        verify.__doc__ = body.__doc__
+        return verify
+
+    return decorate
+
+
 def _decimal(value: Fraction) -> str:
     """Exact decimal string for fractions with 2- and 5-smooth
     denominators; anything else falls back to p/q."""
@@ -258,7 +283,8 @@ def _segment_interval(
     return (lo, hi) if lo < hi else None
 
 
-def verify_fixed_points(t: PiecewiseAffineMap) -> PropertyReport:
+@_property("01-fixed-points")
+def verify_fixed_points(t: PiecewiseAffineMap, chk: _Check) -> None:
     """N and S are fixed, and the whole segment from W^c to S is fixed.
 
     The segment is certified piece by piece: an affine map that fixes
@@ -266,7 +292,6 @@ def verify_fixed_points(t: PiecewiseAffineMap) -> PropertyReport:
     piece fixes the ends of its part of [W^c S] and that those parts
     cover the segment.
     """
-    chk = _Check()
     for name in ("N", "S"):
         p = t.vertex(name)
         chk.expect(t.evaluate(p) == p, f"T({name}) = {name} = {p}")
@@ -295,10 +320,10 @@ def verify_fixed_points(t: PiecewiseAffineMap) -> PropertyReport:
         f"these parts cover [W^c S] = [{w_c} {s}]",
         f"first gap at {w_c + (s - w_c).scaled(reach)}",
     )
-    return chk.report("01-fixed-points")
 
 
-def verify_top_attraction(t: PiecewiseAffineMap) -> PropertyReport:
+@_property("02-top-attraction")
+def verify_top_attraction(t: PiecewiseAffineMap, chk: _Check) -> None:
     """The top triangle is forward invariant and contracts onto N.
 
     The certificate is read from the matrices: the pieces tiling NWE all
@@ -307,7 +332,6 @@ def verify_top_attraction(t: PiecewiseAffineMap) -> PropertyReport:
     Together with forward invariance this bounds every orbit of NWE by
     ‖Tᵏp − N‖∞ <= (3/2)·2⁻ᵏ.
     """
-    chk = _Check()
     top = t.region("NWE")
     base_images_up = True
     for name in "WABOCDE":
@@ -354,12 +378,11 @@ def verify_top_attraction(t: PiecewiseAffineMap) -> PropertyReport:
         not chk.failed,
         "‖Tᵏp − N‖∞ <= (3/2)·2⁻ᵏ for every p ∈ NWE and k >= 0",
     )
-    return chk.report("02-top-attraction")
 
 
-def verify_markov(t: PiecewiseAffineMap) -> PropertyReport:
+@_property("03-markov")
+def verify_markov(t: PiecewiseAffineMap, chk: _Check) -> None:
     """Both coding triangles map exactly onto the triangle A D S."""
-    chk = _Check()
     big = t.region("ADS")
     chk.expect(big.area == 1, f"area(ADS) = {format_rational(big.area)}")
     for label in ("A^tB^tS", "C^cD^cS"):
@@ -369,13 +392,12 @@ def verify_markov(t: PiecewiseAffineMap) -> PropertyReport:
             f"T({label}) = ADS exactly (symmetric difference 0)",
             f"symdiff area {format_rational(diff)}",
         )
-    return chk.report("03-markov")
 
 
-def verify_y_factors(t: PiecewiseAffineMap) -> PropertyReport:
+@_property("04-y-factors")
+def verify_y_factors(t: PiecewiseAffineMap, chk: _Check) -> None:
     """Vertical scaling factors of the pieces inside the left coding
     triangle, and the exact factor 2 on the right one."""
-    chk = _Check()
     region = t.region("A^tB^tS")
     inside = _pieces_inside(t, region)
     chk.expect(
@@ -404,13 +426,12 @@ def verify_y_factors(t: PiecewiseAffineMap) -> PropertyReport:
         "of at most 2; both the per-piece factors and that description are "
         "recorded here without reconciling them"
     )
-    return chk.report("04-y-factors")
 
 
-def verify_cone_stability(t: PiecewiseAffineMap) -> PropertyReport:
+@_property("05-cone-stability")
+def verify_cone_stability(t: PiecewiseAffineMap, chk: _Check) -> None:
     """The vertical cone |x| <= 2|y| is stable for all coding matrices,
     singly and under every ordered product."""
-    chk = _Check()
     cone = ConeSpec(Fraction(2))
     mats = []
     for label, piece in _table_pieces(t):
@@ -439,12 +460,11 @@ def verify_cone_stability(t: PiecewiseAffineMap) -> PropertyReport:
         f"keep the cone",
         f"first failing product {first_bad}",
     )
-    return chk.report("05-cone-stability")
 
 
-def verify_horizontal_expansion(t: PiecewiseAffineMap) -> PropertyReport:
+@_property("06-horizontal-expansion")
+def verify_horizontal_expansion(t: PiecewiseAffineMap, chk: _Check) -> None:
     """Coding matrices preserve the horizontal and expand it by >= 4."""
-    chk = _Check()
     for label, piece in _table_pieces(t):
         m = piece.map.linear
         chk.expect(
@@ -453,7 +473,6 @@ def verify_horizontal_expansion(t: PiecewiseAffineMap) -> PropertyReport:
             f"{format_rational(abs(m.a))} >= 4",
             f"matrix {m}",
         )
-    return chk.report("06-horizontal-expansion")
 
 
 def _preimage_parts(t: PiecewiseAffineMap):
@@ -466,10 +485,10 @@ def _preimage_parts(t: PiecewiseAffineMap):
     return top, preimage, predicted, residual
 
 
-def verify_preimage_NEW(t: PiecewiseAffineMap) -> PropertyReport:
+@_property("07-preimage-new")
+def verify_preimage_NEW(t: PiecewiseAffineMap, chk: _Check) -> None:
     """T^{-1}(NEW) decomposes into the three predicted regions plus a
     residual confined to the central quadrilateral O O^c C^c C."""
-    chk = _Check()
     top, preimage, predicted, residual = _preimage_parts(t)
     for label, region in zip(("NWE", "WW^tO^tO", "C^cE^cEC"), predicted):
         chk.expect(
@@ -496,13 +515,12 @@ def verify_preimage_NEW(t: PiecewiseAffineMap) -> PropertyReport:
     chk.info(f"area(Δ) = {format_rational(region_area(residual))}")
     for frag in residual:
         chk.info(f"Δ fragment: {_poly_str(frag)}")
-    return chk.report("07-preimage-new")
 
 
-def verify_folding(t: PiecewiseAffineMap) -> PropertyReport:
+@_property("08-folding")
+def verify_folding(t: PiecewiseAffineMap, chk: _Check) -> None:
     """The two central bottom sectors fold into the right half plus the
     top triangle."""
-    chk = _Check()
     top, _, _, residual = _preimage_parts(t)
     right_half = t.region("DES")
     for label in ("BOS", "OSC"):
@@ -520,13 +538,12 @@ def verify_folding(t: PiecewiseAffineMap) -> PropertyReport:
             )
     images = [img for frag in residual for img in t.region_image(frag)]
     chk.expect(_contained(images, [top]), "T(Δ) ⊆ NEW")
-    return chk.report("08-folding")
 
 
-def verify_left_right(t: PiecewiseAffineMap) -> PropertyReport:
+@_property("09-left-right")
+def verify_left_right(t: PiecewiseAffineMap, chk: _Check) -> None:
     """Both halves hand their points to the left half or the top, and the
     small left triangle W^cA^cS is invariant."""
-    chk = _Check()
     cover = [t.region("WAS"), t.region("NEW")]
     for label in ("DES", "WAS"):
         chk.expect(
@@ -538,15 +555,13 @@ def verify_left_right(t: PiecewiseAffineMap) -> PropertyReport:
         _contained(t.region_image(small), [small]),
         "T(W^cA^cS) ⊆ W^cA^cS",
     )
-    return chk.report("09-left-right")
 
 
-def analyze_WAS(t: PiecewiseAffineMap) -> PropertyReport:
+@_property("10-was-analysis")
+def analyze_WAS(t: PiecewiseAffineMap, chk: _Check) -> None:
     """Spectral picture on the left-half pieces: expansion, the neutral
     direction, the pointwise-fixed segment, and the two pieces swallowed
     by the top triangle."""
-    chk = _Check()
-
     expanding = t.piece_with_corners("W^tW^cA^t")
     eig = eigen2(expanding.map.linear)
     # str gives p/q for a Fraction, as format_rational does, and a surd
@@ -607,7 +622,6 @@ def analyze_WAS(t: PiecewiseAffineMap) -> PropertyReport:
             _contained([piece.domain], preimage),
             f"{piece.name} ⊆ T⁻¹(NEW) (leaves for the top in one step)",
         )
-    return chk.report("10-was-analysis")
 
 
 _VERIFIERS: Tuple[Tuple[str, Callable], ...] = (
@@ -624,17 +638,6 @@ _VERIFIERS: Tuple[Tuple[str, Callable], ...] = (
 )
 
 
-def _verify_one(property_id: str, fn: Callable, t: PiecewiseAffineMap) -> PropertyReport:
-    try:
-        return fn(t)
-    except NonInvertiblePiece as exc:
-        # a flattened piece has no exact inverse, so the images and
-        # preimages this property is stated in cannot be formed
-        chk = _Check()
-        chk.expect(False, "every piece is invertible", f"NonInvertiblePiece: {exc}")
-        return chk.report(property_id)
-
-
 def verify_map(t: Optional[PiecewiseAffineMap] = None) -> List[PropertyReport]:
     """Run every check against `t` (default: the bundled map).
 
@@ -643,9 +646,7 @@ def verify_map(t: Optional[PiecewiseAffineMap] = None) -> List[PropertyReport]:
     """
     if t is None:
         t = standard_map()
-    return sorted(
-        (_verify_one(pid, fn, t) for pid, fn in _VERIFIERS), key=lambda r: r.property_id
-    )
+    return sorted((fn(t) for _, fn in _VERIFIERS), key=lambda r: r.property_id)
 
 
 def serialize_reports(reports: Sequence[PropertyReport]) -> str:

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pam.cli import main
+from pam.cli import MAX_CYLINDER_DEPTH, main
 from pam.geometry import format_rational
 from pam.mapmodel import standard_definition_text
+from pam.symbolic import CylinderCensus
 
 # a unit square split into three triangles with a T-junction at m=(1,1):
 # the diagonal of abc passes through m, whose pinned image disagrees there
@@ -213,6 +214,13 @@ def test_verify_survives_a_surd_eigenvalue(capsys, tmp_path):
     assert out.count("property: ") == 10
     assert err.count("\n") == 1
     assert err.startswith("FAILED: ") and "10-was-analysis" in err
+    # the witnesses gathered before the singular piece B^cO^tB^t stop
+    # the property are kept, and the invertibility failure comes last
+    block = out.split("property: 10-was-analysis\n", 1)[1].split("\n\n", 1)[0]
+    assert "witness: FAIL: W^cA^cA^t: eigenvalues 1/2 + 1/6*sqrt(-51), " in block
+    assert block.rstrip("\n").endswith(
+        "witness: FAIL: every piece is invertible [NonInvertiblePiece: B^cO^tB^t]"
+    )
 
 
 def test_cylinders_counts_an_escaping_drift_orbit_as_failed(capsys, tmp_path, no_seed):
@@ -397,6 +405,29 @@ def test_cylinders_other_seed_still_passes(capsys, monkeypatch):
     code, out, _ = run(capsys, ["cylinders", "--depth", "2", "--samples", "12"])
     assert code == 0
     assert "drift identity exact: 12/12" in out
+
+
+@pytest.mark.parametrize("depth", [30, 1000000000])
+def test_cylinders_depth_above_the_ceiling_starts_no_descent(capsys, monkeypatch, depth):
+    def descent(*args):
+        raise AssertionError("the census started")
+
+    monkeypatch.setattr("pam.cli.census", descent)
+    code, out, err = run(capsys, ["cylinders", "--depth", str(depth)])
+    assert code == 3
+    assert out == ""
+    assert err == f"usage error: --depth {depth} is above the ceiling of {MAX_CYLINDER_DEPTH}\n"
+
+
+def test_cylinders_depth_at_the_ceiling_runs(capsys, monkeypatch, no_seed):
+    # a stand-in census: the real one at the ceiling takes seconds
+    def census(t, n, triangles):
+        return CylinderCensus(tuple(2**k for k in range(1, n + 1)), {})
+
+    monkeypatch.setattr("pam.cli.census", census)
+    code, out, _ = run(capsys, ["cylinders", "--depth", str(MAX_CYLINDER_DEPTH), "--samples", "2"])
+    assert code == 0
+    assert f"{MAX_CYLINDER_DEPTH}\t{2 ** MAX_CYLINDER_DEPTH}\t" in out
 
 
 def test_cylinders_bad_seed(capsys, monkeypatch):

@@ -397,6 +397,21 @@ def test_transformed_is_the_counter_clockwise_image(tri, v):
             assert ux * wy - uy * wx > 0
 
 
+@given(triangles, triangles, affine_entries)
+def test_clip_commutes_with_invertible_maps(t1, t2, v):
+    # the step of the cylinder descent rests on clip(hX, hY) = h clip(X, Y)
+    a, b, c, d, e, f = v
+    assume(a * d != b * c)
+    inner = clip(t1, t2)
+    # negating the first row flips the sign of det L
+    for h in (_affine(v), _affine((-a, -b, c, d, e, f))):
+        outer = clip(t1.transformed(h), t2.transformed(h))
+        if inner is None:
+            assert outer is None
+        else:
+            assert outer == inner.transformed(h)
+
+
 class TestConvexDifference:
     def test_punches_hole_into_ring_pieces(self):
         sq = poly((0, 0), (4, 0), (4, 4), (0, 4))

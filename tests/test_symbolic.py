@@ -1,15 +1,18 @@
 """Tests for itinerary coding, cylinders, and the vertical drift law."""
 
+import gc
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pam.geometry import Point, region_difference, symdiff_area
-from pam.mapmodel import OutsideDomain, standard_map
+from pam.geometry import AffineMap, ConvexPolygon, Point, clip, region_difference, symdiff_area
+from pam.mapmodel import OutsideDomain, build_map, parse_definition, standard_map
 from pam.symbolic import (
     CODING_MODES,
+    CodingTriangles,
     CylinderChain,
     OrbitLeftRegion,
     census,
@@ -20,7 +23,10 @@ from pam.symbolic import (
     fiber_width,
     iterate,
     max_fiber_width,
+    _Branches,
+    _max_chord,
 )
+from test_geometry import triangles
 
 T = standard_map()
 TRI = coding_triangles(T)
@@ -164,8 +170,6 @@ def test_cylinder_chain_is_plain_data():
 
 
 def test_width_census_matches_per_word_enumeration():
-    from itertools import product
-
     counts = [
         sum(not cylinder(T, bits, TRI).is_empty(n - 1) for bits in product((0, 1), repeat=n))
         for n in range(1, 5)
@@ -183,6 +187,111 @@ def test_width_census_matches_per_word_enumeration():
 def test_width_census_validates_depth():
     with pytest.raises(ValueError):
         max_fiber_width(T, 0, TRI)
+
+
+def test_census_frees_its_memo_on_return():
+    # with the collector off, memo tables caught in a reference cycle
+    # would outlive the call; DEBUG_SAVEALL keeps what it then finds
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        census(T, 7, TRI)
+        gc.collect()
+        kept = [o for o in gc.garbage if isinstance(o, ConvexPolygon)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert kept == []
+
+
+# a square cut into four triangles around its centre M: the coding
+# branches out of BCM and DAM include ones with c != 0, which shear
+# horizontals, and ones with c = 0, so both width paths of census run
+SHEARED = build_map(parse_definition(
+    "vertex A 0 0\nvertex B 2 0\nvertex C 2 2\nvertex D 0 2\nvertex M 1 1\n"
+    "domain A B C D\n"
+    "triangle ABM A B M\ntriangle BCM B C M\ntriangle CDM C D M\ntriangle DAM D A M\n"
+    "image A 2 1\nimage B 2 1/2\nimage C 1/2 3/2\nimage D 2 2\nimage M 0 1\n"
+))
+SHEARED_TRI = CodingTriangles(
+    "hand", "DAM", "BCM", SHEARED.region("DAM"), SHEARED.region("BCM")
+)
+
+
+def test_sheared_map_has_both_kinds_of_branch():
+    shrinks = [s for triples in _Branches(SHEARED, SHEARED_TRI).per_letter for *_, s in triples]
+    assert None in shrinks and any(s is not None for s in shrinks)
+    # and words with empty cylinders from length 4 on
+    assert census(SHEARED, 4, SHEARED_TRI).counts == (2, 4, 8, 12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sheared_census_matches_per_word_enumeration(n):
+    counts = [0] * n
+    best = {0: F(0), 1: F(0)}
+    for bits in product((0, 1), repeat=n):
+        chain = cylinder(SHEARED, bits, SHEARED_TRI)
+        counts = [c + (not chain.is_empty(k)) for k, c in enumerate(counts)]
+        best[bits[0]] = max(best[bits[0]], fiber_width(chain, n - 1))
+    # a length-k word is counted once, not once per extension to length n
+    counts = [c // 2 ** (n - k) for k, c in enumerate(counts, 1)]
+    got = census(SHEARED, n, SHEARED_TRI)
+    assert got.counts == tuple(counts)
+    assert got.widths == best
+
+
+def _backward_levels(t, triangles, word):
+    """C_0 ⊇ C_1 ⊇ ... in the domain frame: each cell is clipped against
+    the coding part pulled back through the cell's own composite branch."""
+    parts = [
+        [(clip(p.domain, target.transformed(p.map.inverse())), p.map) for p in t.pieces]
+        for target in (triangles.p0, triangles.p1)
+    ]
+    cells = [(triangles.p0 if word[0] == 0 else triangles.p1, AffineMap.identity())]
+    levels = [tuple(c for c, _ in cells)]
+    for letter in word[1:]:
+        nxt = []
+        for poly, g in cells:
+            back = g.inverse()
+            for part, branch in parts[letter]:
+                cell = None if part is None else clip(poly, part.transformed(back))
+                if cell is not None:
+                    nxt.append((cell, branch.compose(g)))
+        cells = nxt
+        levels.append(tuple(c for c, _ in cells))
+    return tuple(levels)
+
+
+@pytest.mark.parametrize(
+    "t,tri,longest", [(T, TRI, 6), (SHEARED, SHEARED_TRI, 5)], ids=["bundled", "sheared"]
+)
+def test_cylinder_levels_match_backward_clipping(t, tri, longest):
+    for n in range(1, longest + 1):
+        for word in product((0, 1), repeat=n):
+            assert cylinder(t, word, tri).levels == _backward_levels(t, tri, word), word
+
+
+def _chord_scan(cell):
+    """Longest horizontal chord, in Fractions, over every vertex height."""
+    best = F(0)
+    for h in {v.y for v in cell.vertices}:
+        xs = [a.x for a, _ in cell.edges() if a.y == h]
+        xs += [
+            a.x + (b.x - a.x) * (h - a.y) / (b.y - a.y)
+            for a, b in cell.edges()
+            if min(a.y, b.y) < h < max(a.y, b.y)
+        ]
+        best = max(best, max(xs) - min(xs))
+    return best
+
+
+@given(triangles, triangles)
+def test_max_chord_matches_a_fraction_scan(t1, t2):
+    for cell in (t1, clip(t1, t2)):
+        if cell is not None:
+            assert _max_chord(cell) == _chord_scan(cell)
 
 
 # ---------------------------------------------------------------------------

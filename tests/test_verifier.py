@@ -225,7 +225,12 @@ def test_flattened_piece_fails_the_properties_that_need_its_inverse():
     assert sorted(singular) == [
         "07-preimage-new", "08-folding", "09-left-right", "10-was-analysis"
     ]
-    assert all(len(w) == 1 for w in singular.values())
+    # the witnesses gathered before the inverse was needed are kept
+    assert all(w[-1].startswith("FAIL: every piece is invertible") for w in singular.values())
+    assert {pid: len(w) for pid, w in singular.items()} == {
+        "07-preimage-new": 1, "08-folding": 1, "09-left-right": 2, "10-was-analysis": 5
+    }
+    assert singular["09-left-right"][0] == "T(DES) ⊆ WAS ∪ NEW"
     status = {r.property_id: r.status for r in reports}
     assert all(status[pid] == "fail" for pid in singular)
     # the fixed-segment failure is the one the previous test pins down
