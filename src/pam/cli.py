@@ -58,6 +58,12 @@ EXIT_USAGE = 3
 # level about doubles both
 MAX_CYLINDER_DEPTH = 16
 
+# the longest orbit `pam orbit` iterates: coordinates can gain about one
+# bit per step, so the table grows quadratically; from (3/7, 1/3) depth
+# 10000 takes about 3 s and prints 45 MB, and past step 14 277 that orbit
+# has coordinates too long for Python's int-to-str digit limit
+MAX_ORBIT_DEPTH = 10000
+
 
 class _UsageError(Exception):
     """Bad flags, unreadable paths, malformed numbers: exit status 3."""
@@ -164,6 +170,8 @@ def cmd_verify(args, out, err) -> int:
 
 
 def cmd_orbit(args, out, err) -> int:
+    if args.depth > MAX_ORBIT_DEPTH:
+        raise _UsageError(f"--depth {args.depth} is above the ceiling of {MAX_ORBIT_DEPTH}")
     t = _load_map(args.map)
     start = Point(args.x, args.y)
     try:
@@ -171,14 +179,19 @@ def cmd_orbit(args, out, err) -> int:
     except (MapModelError, OrbitLeftRegion, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
-    print("step\tx\ty\tsign\tletter", file=out)
+    # the whole table is built before anything is printed, so a
+    # coordinate that cannot be printed leaves stdout empty
+    rows = ["step\tx\ty\tsign\tletter"]
     for k, p in enumerate(record.points):
         letter = record.coding[k]
-        print(
-            f"{k}\t{format_rational(p.x)}\t{format_rational(p.y)}"
-            f"\t{record.signs[k]}\t{'-' if letter is None else letter}",
-            file=out,
-        )
+        try:
+            x, y = format_rational(p.x), format_rational(p.y)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            limit = sys.get_int_max_str_digits()
+            print(f"error: step {k}: a coordinate has more than {limit} digits to print", file=err)
+            return EXIT_USAGE
+        rows.append(f"{k}\t{x}\t{y}\t{record.signs[k]}\t{'-' if letter is None else letter}")
+    print("\n".join(rows), file=out)
     return EXIT_OK
 
 
@@ -317,7 +330,7 @@ def _build_parser() -> _Parser:
     p.add_argument("x", type=_rational, help="starting x (rational, e.g. -19/40)")
     p.add_argument("y", type=_rational, help="starting y (rational, e.g. 1/2)")
     p.add_argument("--depth", type=_positive_int, default=20, metavar="N",
-                   help="number of steps (default 20)")
+                   help=f"number of steps (default 20, at most {MAX_ORBIT_DEPTH})")
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("cylinders", help="count itinerary cells, check drift")

@@ -1,8 +1,10 @@
 """Exact rational planar geometry.
 
 Points, 2x2 matrices, affine maps, convex polygons, clipping, y-slab
-point location, union areas and eigenanalysis.  Nothing in this module
-ever rounds: every predicate is decided by integer arithmetic.
+point location, region differences and eigenanalysis.  Nothing in this
+module ever rounds: every predicate is decided by integer arithmetic.
+One sweep, `convex_difference`, carries every region identity: union
+areas and symmetric differences are sums of the areas it leaves.
 
 One integer layer carries the work: a polygon keeps its vertices as
 reduced homogeneous integer triples ``(X, Y, W)``, ``W > 0``, and an
@@ -34,7 +36,6 @@ __all__ = [
     "AffineMap",
     "ConvexPolygon",
     "clip",
-    "intersection_area",
     "region_area",
     "symdiff_area",
     "convex_difference",
@@ -300,10 +301,13 @@ class ConvexPolygon:
         return ConvexPolygon._from_h(tuple(out))
 
     def _canonical(self) -> tuple:
+        """(hash, canonical vertex cycle), computed once: cells are
+        hashed over and over as memo keys."""
         if self._canon is None:
             h = self._h
             k = min(range(len(h)), key=lambda i: h[i])
-            self._canon = h[k:] + h[:k]
+            cycle = h[k:] + h[:k]
+            self._canon = (hash(cycle), cycle)
         return self._canon
 
     def __eq__(self, other) -> bool:
@@ -312,7 +316,7 @@ class ConvexPolygon:
         return self._canonical() == other._canonical()
 
     def __hash__(self) -> int:
-        return hash(self._canonical())
+        return self._canonical()[0]
 
     def __repr__(self) -> str:
         inner = ", ".join(str(v) for v in self.vertices)
@@ -388,44 +392,6 @@ class SlabIndex:
         return None
 
 
-def _union_area(polys: Sequence[ConvexPolygon]) -> Fraction:
-    total = Fraction(0)
-    seen: list = []
-    for poly in polys:
-        overlaps = [c for c in (clip(poly, s) for s in seen) if c is not None]
-        total += poly.area - _union_area(overlaps)
-        seen.append(poly)
-    return total
-
-
-def region_area(regions: Sequence[ConvexPolygon]) -> Fraction:
-    """Exact area of the union of convex polygons (overlaps counted once).
-
-    Inclusion–exclusion, incremental form: each polygon contributes its
-    area minus the area it shares with the union of its predecessors;
-    the shared part is itself a union of convex pieces, so the same
-    routine recurses.  Empty intersections prune immediately, which
-    keeps this fast on the near-disjoint collections produced here.
-    """
-    return _union_area(list(regions))
-
-
-def intersection_area(a: Sequence[ConvexPolygon], b: Sequence[ConvexPolygon]) -> Fraction:
-    """Exact area of (union of a) ∩ (union of b)."""
-    pieces = [c for pa in a for c in (clip(pa, pb) for pb in b) if c is not None]
-    return _union_area(pieces)
-
-
-def symdiff_area(a: Sequence[ConvexPolygon], b: Sequence[ConvexPolygon]) -> Fraction:
-    """Area of the symmetric difference of two unions of convex polygons.
-
-    Zero iff the unions agree up to measure zero — the workhorse equality
-    oracle for region identities.
-    """
-    a, b = list(a), list(b)
-    return _union_area(a) + _union_area(b) - 2 * intersection_area(a, b)
-
-
 def convex_difference(
     minuend: ConvexPolygon, subtrahend: ConvexPolygon
 ) -> List[ConvexPolygon]:
@@ -460,6 +426,34 @@ def region_difference(
     return pieces
 
 
+def region_area(regions: Sequence[ConvexPolygon]) -> Fraction:
+    """Exact area of the union of convex polygons (overlaps counted once).
+
+    Each polygon contributes the area of what `region_difference` leaves
+    of it once its predecessors are removed; those fragments are
+    interior-disjoint, so their areas add.  A predecessor that `clip`
+    shows to miss the polygon is not removed: that changes no area, but
+    the sweep would still cut the polygon into more fragments.
+    """
+    regions = list(regions)
+    total = Fraction(0)
+    for i, r in enumerate(regions):
+        meeting = [s for s in regions[:i] if clip(r, s) is not None]
+        for frag in region_difference([r], meeting):
+            total += frag.area
+    return total
+
+
+def symdiff_area(a: Sequence[ConvexPolygon], b: Sequence[ConvexPolygon]) -> Fraction:
+    """Area of the symmetric difference of two unions of convex polygons,
+    as area(a ∖ b) + area(b ∖ a).
+
+    Zero iff the unions agree up to measure zero — the equality oracle
+    for region identities.
+    """
+    return region_area(region_difference(a, b)) + region_area(region_difference(b, a))
+
+
 @dataclass(frozen=True)
 class Matrix2:
     """2x2 rational matrix, row-major: [[a, b], [c, d]]."""
@@ -482,9 +476,6 @@ class Matrix2:
 
     def trace(self) -> Fraction:
         return self.a + self.d
-
-    def apply(self, x: Fraction, y: Fraction):
-        return (self.a * x + self.b * y, self.c * x + self.d * y)
 
     def __matmul__(self, other: "Matrix2") -> "Matrix2":
         return Matrix2(
@@ -656,9 +647,6 @@ class Surd:
         if self.r < 0:
             raise ValueError("complex surd has no float value")
         return float(self.p) + float(self.q) * math.sqrt(self.r)
-
-    def conjugate(self) -> "Surd":
-        return Surd(self.p, -self.q, self.r)
 
     def __str__(self) -> str:
         f = format_rational

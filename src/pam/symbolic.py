@@ -17,7 +17,10 @@ exact because clip(g⁻¹X, g⁻¹Y) = g⁻¹clip(X, Y).  Horizontal widths
 contract by at least 4 per level, which is the mechanism behind the
 coding.  `census` walks the whole word tree once, sharing prefixes and
 repeated image cells, and returns the number of nonempty cylinders at
-every depth together with the widest fiber at the deepest one.
+every depth together with the widest fiber at the deepest one.  It
+measures a fiber in the image frame too: g carries the horizontal to
+an integer direction d, and the widest horizontal chord of the cell is
+the widest chord of g(cell) along d, rescaled exactly.
 
 On the two bottom coding pieces the map is linear with vertical
 multipliers exactly 1/2 and 2, giving the exact drift identity
@@ -29,6 +32,7 @@ r ↦ 19 − 20r, both onto [-1, 1].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -166,23 +170,17 @@ def _as_word(word) -> Tuple[int, ...]:
 
 
 class _Branches:
-    """Per-letter list of (part, branch, shrink) triples, in the image frame.
+    """Per-letter list of (part, branch) pairs, in the image frame.
 
     `part` is the part of a piece whose next image lands in the requested
     coding triangle, so stepping an image cell J one level keeps
-    branch(clip(J, part)) for each triple that meets it.
-
-    `shrink` is |1/a| for a branch with c = 0: such a branch sends
-    horizontal lines to horizontal lines and stretches them by |a|, so a
-    chord of the image pulls back to a chord `shrink` times as long.  It
-    is None for a branch that shears horizontals (c != 0), below which
-    widths are measured by pulling the leaves back.
+    branch(clip(J, part)) for each pair that meets it.
     """
 
     def __init__(self, t: PiecewiseAffineMap, triangles: CodingTriangles):
         self.per_letter = []
         for target in (triangles.p0, triangles.p1):
-            triples = []
+            pairs = []
             for piece in t.pieces:
                 if not piece.map.is_invertible():
                     raise NonInvertiblePiece(piece.name)
@@ -191,19 +189,17 @@ class _Branches:
                 pulled = target.transformed(piece.map.inverse())
                 part = clip(piece.domain, pulled)
                 if part is not None:
-                    linear = piece.map.linear
-                    shrink = abs(1 / linear.a) if linear.c == 0 else None
-                    triples.append((part, piece.map, shrink))
-            self.per_letter.append(triples)
+                    pairs.append((part, piece.map))
+            self.per_letter.append(pairs)
 
     def step(self, cell: ConvexPolygon, letter: int):
         """The children of image cell `cell` under `letter`, as
-        (image, branch, shrink) triples."""
+        (image, branch) pairs."""
         out = []
-        for part, branch, shrink in self.per_letter[letter]:
+        for part, branch in self.per_letter[letter]:
             kept = clip(cell, part)
             if kept is not None:
-                out.append((kept.transformed(branch), branch, shrink))
+                out.append((kept.transformed(branch), branch))
         return out
 
 
@@ -250,27 +246,34 @@ def cylinder(
         cells = [
             (image, branch.compose(g))
             for cell, g in cells
-            for image, branch, _ in branches.step(cell, letter)
+            for image, branch in branches.step(cell, letter)
         ]
         levels.append(tuple(image.transformed(g.inverse()) for image, g in cells))
     return CylinderChain(letters, tuple(levels))
 
 
-def _max_chord(cell: ConvexPolygon) -> Fraction:
-    """Longest horizontal chord of a convex polygon, exactly.
+def _max_chord(cell: ConvexPolygon, d: Tuple[int, int] = (1, 0)) -> Fraction:
+    """Longest chord of a convex polygon along the integer direction d,
+    in units of d, exactly; for d = (1, 0) the longest horizontal chord.
 
-    Chord length is a concave piecewise-linear function of the height, so
-    the maximum is attained at the height of some vertex; it suffices to
-    scan those heights.  The scan runs on the homogeneous integer
-    vertices and builds one Fraction.
+    Chord length is a concave piecewise-linear function of the offset
+    across d, so the maximum is attained on the line along d through some
+    vertex; it suffices to scan those lines.  The scan runs on the
+    homogeneous integer vertices read in the coordinates (d·p, d⊥·p),
+    d⊥ = (−d_y, d_x), and builds one Fraction: a chord t·d spans t|d|²
+    in the first coordinate, so its length in units of d is that extent
+    over |d|², with no square root.
     """
+    dx, dy = d
     verts = cell._h
+    if d != (1, 0):
+        verts = [(dx * x + dy * y, dx * y - dy * x, w) for x, y, w in verts]
     m = len(verts)
     best_num, best_den = 0, 1
     for _, y, w in verts:
-        # the sign of each vertex's height above y/w
+        # the sign of each vertex's offset across d from this vertex
         sides = [p[1] * w - y * p[2] for p in verts]
-        # where the boundary meets that height, as (numerator, W > 0):
+        # where the boundary meets that line, as (numerator, W > 0):
         # one vertex, or two ends, since the polygon is convex
         ends = []
         for i in range(m):
@@ -286,7 +289,23 @@ def _max_chord(cell: ConvexPolygon) -> Fraction:
         num, den = abs(n1 * d2 - n2 * d1), d1 * d2
         if num * best_den > best_num * den:
             best_num, best_den = num, den
-    return Fraction(best_num, best_den)
+    return Fraction(best_num, best_den * (dx * dx + dy * dy))
+
+
+def _carry(branch: AffineMap, d: Tuple[int, int]) -> Tuple[Tuple[int, int], Fraction]:
+    """(d', s/|p|) with branch.linear · d = (p/s)·d', s > 0 and d' the
+    primitive integer direction whose first nonzero entry is positive.
+
+    A chord along d of length μ, in units of d, goes to a chord along d'
+    of length μ|p|/s in units of d', so widths measured along d' below
+    the branch come back multiplied by s/|p|.
+    """
+    a, b, _, c, e, _, s = branch._m  # linear part [[a, b], [c, e]] / s
+    u, v = a * d[0] + b * d[1], c * d[0] + e * d[1]
+    p = math.gcd(u, v)
+    if u < 0 or (u == 0 and v < 0):
+        p = -p
+    return (u // p, v // p), Fraction(s, abs(p))
 
 
 def fiber_width(chain: CylinderChain, n: int) -> Fraction:
@@ -328,13 +347,22 @@ class _Descent:
     computed once per census.  Every word is still decided by exact
     clipping; the tables only avoid repeating one.  The tables form no
     reference cycle, so they are freed as soon as census returns.
+
+    Widths carry one primitive integer direction d along each word: the
+    direction into which the word's composite branch carries the
+    horizontal, so the widest horizontal chord of a cylinder cell is the
+    widest chord of its image along d, rescaled by the branches crossed.
+    On the bundled map every coding branch keeps horizontals (c = 0), so
+    d stays (1, 0); a branch that shears them turns d, and the width
+    stays exact without pulling any cell back.
     """
 
     def __init__(self, branches: _Branches):
         self.branches = branches
         self._children: dict = {}  # (cell, letter) -> branches.step(cell, letter)
         self._counts: dict = {}  # (frozenset of cells, depth) -> counts
-        self._widths: dict = {}  # (cell, depth) -> widest chord in the cell's frame
+        self._widths: dict = {}  # (cell, depth, d) -> widest chord along d, in units of d
+        self._carries: dict = {}  # (branch, d) -> _carry(branch, d)
 
     def children(self, cell: ConvexPolygon, letter: int):
         key = (cell, letter)
@@ -353,7 +381,7 @@ class _Descent:
             if depth:
                 for letter in (0, 1):
                     nxt = frozenset(
-                        image for cell in cells for image, _, _ in self.children(cell, letter)
+                        image for cell in cells for image, _ in self.children(cell, letter)
                     )
                     if nxt:
                         for k, c in enumerate(self.count(nxt, depth - 1), 1):
@@ -361,41 +389,27 @@ class _Descent:
             got = self._counts[key] = tuple(total)
         return got
 
-    def widest(self, cell: ConvexPolygon, depth: int) -> Fraction:
-        """Widest horizontal chord over the leaf cells `depth` levels
-        below `cell`, measured in the frame of `cell`."""
-        key = (cell, depth)
+    def widest(self, cell: ConvexPolygon, depth: int, d: Tuple[int, int]) -> Fraction:
+        """Widest chord along d, in units of d, over the leaf cells `depth`
+        levels below `cell`, each pulled back into the frame of `cell`."""
+        key = (cell, depth, d)
         got = self._widths.get(key)
         if got is None:
             if depth == 0:
-                got = _max_chord(cell)
+                got = _max_chord(cell, d)
             else:
                 got = Fraction(0)
                 for letter in (0, 1):
-                    for image, branch, shrink in self.children(cell, letter):
-                        if shrink is None:
-                            width = self.pulled(image, depth - 1, branch)
-                        else:
-                            width = self.widest(image, depth - 1) * shrink
+                    for image, branch in self.children(cell, letter):
+                        carry = self._carries.get((branch, d))
+                        if carry is None:
+                            carry = self._carries[branch, d] = _carry(branch, d)
+                        carried, scale = carry
+                        width = self.widest(image, depth - 1, carried) * scale
                         if width > got:
                             got = width
             self._widths[key] = got
         return got
-
-    def pulled(self, cell: ConvexPolygon, depth: int, g: AffineMap) -> Fraction:
-        """Widest chord over the leaf cells `depth` levels below `cell`,
-        measured in the frame that `g` carries onto `cell`, by pulling
-        each leaf back through its composite: exact below a branch that
-        shears horizontals."""
-        if depth == 0:
-            return _max_chord(cell.transformed(g.inverse()))
-        best = Fraction(0)
-        for letter in (0, 1):
-            for image, branch, _ in self.children(cell, letter):
-                width = self.pulled(image, depth - 1, branch.compose(g))
-                if width > best:
-                    best = width
-        return best
 
 
 def census(
@@ -421,7 +435,7 @@ def census(
     for letter, target in ((0, triangles.p0), (1, triangles.p1)):
         for k, c in enumerate(descent.count(frozenset((target,)), n - 1)):
             counts[k] += c
-        widths[letter] = descent.widest(target, n - 1)
+        widths[letter] = descent.widest(target, n - 1, (1, 0))
     return CylinderCensus(tuple(counts), widths)
 
 

@@ -1,11 +1,14 @@
 """Machine checks of the structural properties of the bundled map.
 
-Every check works on exact rational geometry: region identities are
-asserted through symmetric-difference areas, matrices through equality,
-spectra through the exact eigensolver.  Each `verify_*` operation
-returns a `PropertyReport` whose witnesses pin the claim to concrete
-polygons, points and matrices, so a failure is always reproducible from
-the report alone.
+Every check works on exact rational geometry.  Region identities are
+decided by exact region differences: a containment holds when nothing
+of positive area is left of the parts once the cover is removed, an
+equality when the symmetric difference has area 0, and "misses
+entirely" when no part clips the region.  Matrices are compared by
+equality and spectra come from the exact eigensolver.  Each `verify_*`
+operation returns a `PropertyReport` whose witnesses pin the claim to
+concrete polygons, points and matrices, so a failure is always
+reproducible from the report alone.
 
 `verify_map` runs the whole battery and returns the reports sorted by
 their (stable) ids; `serialize_reports` renders them as deterministic
@@ -22,9 +25,9 @@ from .geometry import (
     ConvexPolygon,
     Matrix2,
     Point,
+    clip,
     eigen2,
     format_rational,
-    intersection_area,
     region_area,
     region_difference,
     symdiff_area,
@@ -136,21 +139,6 @@ class PropertyReport:
         return self.status != "fail"
 
 
-# the title each property is reported under, by id
-_TITLES = {
-    "01-fixed-points": "poles and the fixed segment",
-    "02-top-attraction": "absorption into the top triangle",
-    "03-markov": "coding triangles cover ADS exactly",
-    "04-y-factors": "vertical factors on the coding pieces",
-    "05-cone-stability": "stability of the vertical cone",
-    "06-horizontal-expansion": "horizontal expansion by >= 4",
-    "07-preimage-new": "preimage of the top triangle",
-    "08-folding": "central sectors fold to the right",
-    "09-left-right": "hand-off between the two halves",
-    "10-was-analysis": "spectral analysis on the left half",
-}
-
-
 class _Check:
     """Accumulates witness lines and an overall verdict."""
 
@@ -174,7 +162,7 @@ class _Check:
     def note(self, text: str):
         self.notes.append(text)
 
-    def report(self, property_id: str) -> PropertyReport:
+    def report(self, property_id: str, title: str) -> PropertyReport:
         if self.failed:
             status = "fail"
         elif self.deviated:
@@ -183,15 +171,22 @@ class _Check:
             status = "pass"
         return PropertyReport(
             property_id,
-            _TITLES[property_id],
+            title,
             status,
             tuple(self.witnesses),
             tuple(self.notes),
         )
 
 
-def _property(property_id: str):
-    """Make a check body ``body(t, chk)`` into ``verify(t) -> PropertyReport``.
+# (property id, public check), one entry per @_property; verify_map
+# reads it at call time
+_VERIFIERS: List[Tuple[str, Callable]] = []
+
+
+def _property(property_id: str, title: str):
+    """Make a check body ``body(t, chk)`` into ``verify(t) -> PropertyReport``
+    reported under `property_id` and `title`, and register it in
+    `_VERIFIERS`.
 
     A flattened piece has no exact inverse, so the images and preimages
     a property is stated in cannot be formed: the property then fails,
@@ -205,11 +200,12 @@ def _property(property_id: str):
                 body(t, chk)
             except NonInvertiblePiece as exc:
                 chk.expect(False, "every piece is invertible", f"NonInvertiblePiece: {exc}")
-            return chk.report(property_id)
+            return chk.report(property_id, title)
 
         # not functools.wraps: its __wrapped__ would show body's signature
         verify.__name__ = verify.__qualname__ = body.__name__
         verify.__doc__ = body.__doc__
+        _VERIFIERS.append((property_id, verify))
         return verify
 
     return decorate
@@ -240,7 +236,7 @@ def _contained(
     parts: Sequence[ConvexPolygon], cover: Sequence[ConvexPolygon]
 ) -> bool:
     """union(parts) ⊆ union(cover), up to measure zero."""
-    return intersection_area(parts, cover) == region_area(parts)
+    return not region_difference(parts, cover)
 
 
 def _poly_str(poly: ConvexPolygon) -> str:
@@ -249,11 +245,7 @@ def _poly_str(poly: ConvexPolygon) -> str:
 
 def _pieces_inside(t: PiecewiseAffineMap, region: ConvexPolygon):
     """The pieces whose domain lies in `region`, up to measure zero."""
-    return [
-        p
-        for p in t.pieces
-        if intersection_area([p.domain], [region]) == p.domain.area
-    ]
+    return [p for p in t.pieces if _contained([p.domain], [region])]
 
 
 def _table_pieces(t: PiecewiseAffineMap):
@@ -283,7 +275,7 @@ def _segment_interval(
     return (lo, hi) if lo < hi else None
 
 
-@_property("01-fixed-points")
+@_property("01-fixed-points", "poles and the fixed segment")
 def verify_fixed_points(t: PiecewiseAffineMap, chk: _Check) -> None:
     """N and S are fixed, and the whole segment from W^c to S is fixed.
 
@@ -322,7 +314,7 @@ def verify_fixed_points(t: PiecewiseAffineMap, chk: _Check) -> None:
     )
 
 
-@_property("02-top-attraction")
+@_property("02-top-attraction", "absorption into the top triangle")
 def verify_top_attraction(t: PiecewiseAffineMap, chk: _Check) -> None:
     """The top triangle is forward invariant and contracts onto N.
 
@@ -380,7 +372,7 @@ def verify_top_attraction(t: PiecewiseAffineMap, chk: _Check) -> None:
     )
 
 
-@_property("03-markov")
+@_property("03-markov", "coding triangles cover ADS exactly")
 def verify_markov(t: PiecewiseAffineMap, chk: _Check) -> None:
     """Both coding triangles map exactly onto the triangle A D S."""
     big = t.region("ADS")
@@ -394,7 +386,7 @@ def verify_markov(t: PiecewiseAffineMap, chk: _Check) -> None:
         )
 
 
-@_property("04-y-factors")
+@_property("04-y-factors", "vertical factors on the coding pieces")
 def verify_y_factors(t: PiecewiseAffineMap, chk: _Check) -> None:
     """Vertical scaling factors of the pieces inside the left coding
     triangle, and the exact factor 2 on the right one."""
@@ -428,7 +420,7 @@ def verify_y_factors(t: PiecewiseAffineMap, chk: _Check) -> None:
     )
 
 
-@_property("05-cone-stability")
+@_property("05-cone-stability", "stability of the vertical cone")
 def verify_cone_stability(t: PiecewiseAffineMap, chk: _Check) -> None:
     """The vertical cone |x| <= 2|y| is stable for all coding matrices,
     singly and under every ordered product."""
@@ -462,7 +454,7 @@ def verify_cone_stability(t: PiecewiseAffineMap, chk: _Check) -> None:
     )
 
 
-@_property("06-horizontal-expansion")
+@_property("06-horizontal-expansion", "horizontal expansion by >= 4")
 def verify_horizontal_expansion(t: PiecewiseAffineMap, chk: _Check) -> None:
     """Coding matrices preserve the horizontal and expand it by >= 4."""
     for label, piece in _table_pieces(t):
@@ -485,7 +477,7 @@ def _preimage_parts(t: PiecewiseAffineMap):
     return top, preimage, predicted, residual
 
 
-@_property("07-preimage-new")
+@_property("07-preimage-new", "preimage of the top triangle")
 def verify_preimage_NEW(t: PiecewiseAffineMap, chk: _Check) -> None:
     """T^{-1}(NEW) decomposes into the three predicted regions plus a
     residual confined to the central quadrilateral O O^c C^c C."""
@@ -503,7 +495,7 @@ def verify_preimage_NEW(t: PiecewiseAffineMap, chk: _Check) -> None:
     )
     left_coding = t.piece_with_corners("A^cB^cS").domain
     chk.expect(
-        intersection_area(preimage, [left_coding]) == 0,
+        all(clip(part, left_coding) is None for part in preimage),
         "T⁻¹(NEW) misses the piece A^cB^cS entirely",
     )
     images = [img for frag in residual for img in t.region_image(frag)]
@@ -517,7 +509,7 @@ def verify_preimage_NEW(t: PiecewiseAffineMap, chk: _Check) -> None:
         chk.info(f"Δ fragment: {_poly_str(frag)}")
 
 
-@_property("08-folding")
+@_property("08-folding", "central sectors fold to the right")
 def verify_folding(t: PiecewiseAffineMap, chk: _Check) -> None:
     """The two central bottom sectors fold into the right half plus the
     top triangle."""
@@ -540,7 +532,7 @@ def verify_folding(t: PiecewiseAffineMap, chk: _Check) -> None:
     chk.expect(_contained(images, [top]), "T(Δ) ⊆ NEW")
 
 
-@_property("09-left-right")
+@_property("09-left-right", "hand-off between the two halves")
 def verify_left_right(t: PiecewiseAffineMap, chk: _Check) -> None:
     """Both halves hand their points to the left half or the top, and the
     small left triangle W^cA^cS is invariant."""
@@ -557,7 +549,7 @@ def verify_left_right(t: PiecewiseAffineMap, chk: _Check) -> None:
     )
 
 
-@_property("10-was-analysis")
+@_property("10-was-analysis", "spectral analysis on the left half")
 def analyze_WAS(t: PiecewiseAffineMap, chk: _Check) -> None:
     """Spectral picture on the left-half pieces: expansion, the neutral
     direction, the pointwise-fixed segment, and the two pieces swallowed
@@ -622,20 +614,6 @@ def analyze_WAS(t: PiecewiseAffineMap, chk: _Check) -> None:
             _contained([piece.domain], preimage),
             f"{piece.name} ⊆ T⁻¹(NEW) (leaves for the top in one step)",
         )
-
-
-_VERIFIERS: Tuple[Tuple[str, Callable], ...] = (
-    ("01-fixed-points", verify_fixed_points),
-    ("02-top-attraction", verify_top_attraction),
-    ("03-markov", verify_markov),
-    ("04-y-factors", verify_y_factors),
-    ("05-cone-stability", verify_cone_stability),
-    ("06-horizontal-expansion", verify_horizontal_expansion),
-    ("07-preimage-new", verify_preimage_NEW),
-    ("08-folding", verify_folding),
-    ("09-left-right", verify_left_right),
-    ("10-was-analysis", analyze_WAS),
-)
 
 
 def verify_map(t: Optional[PiecewiseAffineMap] = None) -> List[PropertyReport]:

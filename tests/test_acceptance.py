@@ -134,7 +134,7 @@ def test_criterion_05_left_pocket_spectral_data():
         assert (m_top.trace(), m_top.det()) == (F(5, 3) + F(5, 4), F(5, 3) * F(5, 4))
         m_low = T.piece_with_corners("W^cA^cA^t").map.linear
         assert (m_low.trace(), m_low.det()) == (F(7, 2), F(5, 2))
-        assert m_low.apply(F(1), F(2)) == (F(1), F(2))  # eigenvector (1, 2)
+        assert (m_low.a + 2 * m_low.b, m_low.c + 2 * m_low.d) == (1, 2)  # eigenvector (1, 2)
         w_c = T.vertices["W^c"]
         for k in range(8):  # the fixed segment, 8 equally spaced samples
             p = Point(w_c.x * k / 7, w_c.y * k / 7)

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pam.cli import MAX_CYLINDER_DEPTH, main
-from pam.geometry import format_rational
-from pam.mapmodel import standard_definition_text
+from pam.cli import MAX_CYLINDER_DEPTH, MAX_ORBIT_DEPTH, main
+from pam.geometry import Point, format_rational
+from pam.mapmodel import standard_definition_text, standard_map
 from pam.symbolic import CylinderCensus
 
 # a unit square split into three triangles with a T-junction at m=(1,1):
@@ -373,6 +373,32 @@ def test_orbit_rejects_nonpositive_depth(capsys):
     code, _, err = run(capsys, ["orbit", "0", "1", "--depth", "0"])
     assert code == 3
     assert "must be positive" in err
+
+
+@pytest.mark.parametrize("depth", [15000, 1000000000])
+def test_orbit_depth_above_the_ceiling_starts_no_iteration(capsys, monkeypatch, depth):
+    def started(*args):
+        raise AssertionError("the map loaded or the orbit started")
+
+    monkeypatch.setattr("pam.cli._load_map", started)
+    monkeypatch.setattr("pam.cli.iterate", started)
+    code, out, err = run(capsys, ["orbit", "3/7", "1/3", "--depth", str(depth)])
+    assert (code, out) == (3, "")
+    assert err == f"usage error: --depth {depth} is above the ceiling of {MAX_ORBIT_DEPTH}\n"
+
+
+def test_orbit_with_an_unprintable_coordinate_prints_nothing(capsys):
+    # from (3/7, 1/3) the denominators gain one bit per step: at step
+    # 13800 they have about 4160 digits, and a few hundred steps later
+    # more than the interpreter's int-to-str limit of 4300
+    t = standard_map()
+    p = Point(Fraction(3, 7), Fraction(1, 3))
+    for _ in range(13800):
+        p = t.evaluate(p)
+    argv = ["orbit", format_rational(p.x), format_rational(p.y), "--depth", "1000"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: step ") and err.count("\n") == 1
 
 
 # -- cylinders ---------------------------------------------------------------

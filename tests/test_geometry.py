@@ -16,9 +16,9 @@ from pam.geometry import (
     convex_difference,
     eigen2,
     format_rational,
-    intersection_area,
     parse_rational,
     region_area,
+    region_difference,
     symdiff_area,
 )
 
@@ -110,7 +110,7 @@ class TestRegionArea:
     def test_partial_overlap(self):
         shifted = poly(("1/2", 0), ("3/2", 0), ("3/2", 1), ("1/2", 1))
         assert region_area([UNIT_SQUARE, shifted]) == F(3, 2)
-        assert intersection_area([UNIT_SQUARE], [shifted]) == F(1, 2)
+        assert clip(UNIT_SQUARE, shifted).area == F(1, 2)
 
     def test_permutation_invariance(self):
         a = poly((0, 0), (2, 0), (2, 2), (0, 2))
@@ -222,7 +222,7 @@ class TestEigen2:
             assert lam * lam - m.trace() * lam + m.det() == 0
             if vec is not None:
                 vx, vy = F(vec[0]), F(vec[1])
-                assert m.apply(vx, vy) == (lam * vx, lam * vy)
+                assert (m.a * vx + m.b * vy, m.c * vx + m.d * vy) == (lam * vx, lam * vy)
 
     def test_surd_case(self):
         res = eigen2(Matrix2.of(0, 2, 1, 0))
@@ -298,6 +298,36 @@ def test_region_area_permutation_invariant(ts, rng):
     rng.shuffle(shuffled)
     assert region_area(ts) == region_area(shuffled)
     assert region_area(ts) == region_area(ts + [ts[0]])
+
+
+def _union_area_reference(polys):
+    """Union area by incremental inclusion–exclusion: each polygon adds its
+    area minus the union of its overlaps with its predecessors."""
+    total = F(0)
+    seen = []
+    for p in polys:
+        overlaps = [c for c in (clip(p, s) for s in seen) if c is not None]
+        total += p.area - _union_area_reference(overlaps)
+        seen.append(p)
+    return total
+
+
+def _symdiff_area_reference(a, b):
+    meet = [c for pa in a for c in (clip(pa, pb) for pb in b) if c is not None]
+    return _union_area_reference(a) + _union_area_reference(b) - 2 * _union_area_reference(meet)
+
+
+@given(st.lists(triangles, min_size=1, max_size=3), st.lists(triangles, max_size=2))
+def test_areas_match_inclusion_exclusion(ts, us):
+    # ts, then each pairwise overlap (nested in both parents), then the
+    # first triangle again: the same union, with nesting and duplicates
+    nested = ts + [c for i, a in enumerate(ts) for b in ts[:i] if (c := clip(a, b)) is not None]
+    nested += ts[:1]
+    assert region_area(nested) == _union_area_reference(nested)
+    assert symdiff_area(nested, ts) == 0
+    b = us + ts[:1]
+    assert symdiff_area(ts, b) == _symdiff_area_reference(ts, b)
+    assert region_area(region_difference(ts, b)) == _union_area_reference(ts + b) - _union_area_reference(b)
 
 
 # Fraction references for AffineMap: entries (a, b, c, d, e, f) stand for
@@ -418,7 +448,7 @@ class TestConvexDifference:
         inner = poly((1, 1), (3, 1), (3, 3), (1, 3))
         d = convex_difference(sq, inner)
         assert region_area(d) == 12
-        assert intersection_area(d, [inner]) == 0
+        assert all(clip(piece, inner) is None for piece in d)
 
     def test_disjoint_subtrahend_changes_nothing(self):
         sq = poly((0, 0), (4, 0), (4, 4), (0, 4))
@@ -437,6 +467,6 @@ def test_difference_complements_intersection(t1, t2):
     inter = clip(t1, t2)
     inter_area = inter.area if inter is not None else F(0)
     assert region_area(d) == t1.area - inter_area
-    assert intersection_area(d, [t2]) == 0
+    assert all(clip(piece, t2) is None for piece in d)
     parts = d + ([inter] if inter is not None else [])
     assert symdiff_area(parts, [t1]) == 0

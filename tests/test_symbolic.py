@@ -6,9 +6,9 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from pam.geometry import AffineMap, ConvexPolygon, Point, clip, region_difference, symdiff_area
+from pam.geometry import AffineMap, ConvexPolygon, Matrix2, Point, clip, region_difference, symdiff_area
 from pam.mapmodel import OutsideDomain, build_map, parse_definition, standard_map
 from pam.symbolic import (
     CODING_MODES,
@@ -208,7 +208,8 @@ def test_census_frees_its_memo_on_return():
 
 # a square cut into four triangles around its centre M: the coding
 # branches out of BCM and DAM include ones with c != 0, which shear
-# horizontals, and ones with c = 0, so both width paths of census run
+# horizontals, and ones with c = 0, so census carries directions other
+# than the horizontal
 SHEARED = build_map(parse_definition(
     "vertex A 0 0\nvertex B 2 0\nvertex C 2 2\nvertex D 0 2\nvertex M 1 1\n"
     "domain A B C D\n"
@@ -221,8 +222,8 @@ SHEARED_TRI = CodingTriangles(
 
 
 def test_sheared_map_has_both_kinds_of_branch():
-    shrinks = [s for triples in _Branches(SHEARED, SHEARED_TRI).per_letter for *_, s in triples]
-    assert None in shrinks and any(s is not None for s in shrinks)
+    cs = [branch.linear.c for pairs in _Branches(SHEARED, SHEARED_TRI).per_letter for _, branch in pairs]
+    assert 0 in cs and any(c != 0 for c in cs)
     # and words with empty cylinders from length 4 on
     assert census(SHEARED, 4, SHEARED_TRI).counts == (2, 4, 8, 12)
 
@@ -292,6 +293,18 @@ def test_max_chord_matches_a_fraction_scan(t1, t2):
     for cell in (t1, clip(t1, t2)):
         if cell is not None:
             assert _max_chord(cell) == _chord_scan(cell)
+
+
+directions = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+
+
+@given(triangles, directions, directions)
+def test_max_chord_along_d_is_the_pulled_back_horizontal_chord(cell, d, e):
+    # L sends (1, 0) to d, so chords along d, in units of d, are the
+    # horizontal chords of L⁻¹(cell)
+    assume(d[0] * e[1] != d[1] * e[0])
+    L = AffineMap(Matrix2.of(d[0], e[0], d[1], e[1]), (0, 0))
+    assert _max_chord(cell, d) == _max_chord(cell.transformed(L.inverse()))
 
 
 # ---------------------------------------------------------------------------
