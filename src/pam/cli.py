@@ -64,6 +64,11 @@ MAX_CYLINDER_DEPTH = 16
 # has coordinates too long for Python's int-to-str digit limit
 MAX_ORBIT_DEPTH = 10000
 
+# the largest drift bound `pam entropy` tabulates: each row builds the
+# whole (2M+1)-level law, so the table costs O(M^2); --max-M 3000 takes
+# about 5 s (one thread, Python 3.11)
+MAX_ENTROPY_M = 3000
+
 
 class _UsageError(Exception):
     """Bad flags, unreadable paths, malformed numbers: exit status 3."""
@@ -243,6 +248,8 @@ def cmd_cylinders(args, out, err) -> int:
 
 
 def cmd_entropy(args, out, err) -> int:
+    if args.max_M > MAX_ENTROPY_M:
+        raise _UsageError(f"--max-M {args.max_M} is above the ceiling of {MAX_ENTROPY_M}")
     deltas = args.delta
     lines: List[str] = []
     header = ["M", "states", "entropy", "gap"]
@@ -346,7 +353,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("entropy", help="entropy ladder and escape-of-mass table")
     p.add_argument("--max-M", type=_positive_int, default=32, metavar="N",
-                   help="largest drift bound M (default 32)")
+                   help=f"largest drift bound M (default 32, at most {MAX_ENTROPY_M})")
     p.add_argument("--delta", type=_delta_list, default=(1e-3,), metavar="LIST",
                    help="comma-separated height thresholds (default 1e-3)")
     p.add_argument("--report", metavar="PATH", default=None,

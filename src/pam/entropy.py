@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .geometry import Point
+from .geometry import Point, _cmp_pow2, _hpoint, _to_fraction
 from .mapmodel import PiecewiseAffineMap
 
 __all__ = [
@@ -303,7 +303,9 @@ def embed_orbit(
     map, whose unique fixed point at the prescribed start height is the
     seed.  The orbit is then re-iterated through the full map — piece
     lookup and all — and checked: membership in the correct piece, the
-    exact 2^(±1) height multipliers, and closure after one period.
+    exact 2^(±1) height multipliers, and closure after one period.  The
+    orbit runs on reduced homogeneous integer triples (X, Y, W), W > 0,
+    whose heights Y/W are compared with powers of 2 by shifts.
     """
     piece_for = {0: t.piece("A^cB^cS"), 1: t.piece("C^cD^cS")}
     ret = None
@@ -321,23 +323,29 @@ def embed_orbit(
         raise CycleInfeasible("return map is not expanding along the fiber")
     x0 = (b * y0 + e) / (1 - a)
 
-    lo, hi = _level_height(skew.m_bound, -skew.m_bound), Y_CAP
-    orbit = [Point(x0, y0)]
+    m = skew.m_bound
+    lo, hi = _level_height(m, -m), Y_CAP
+    # heights as (Y, W) pairs against Y_CAP: level s sits at Y_CAP·2^(s−M)
+    cap = (Y_CAP.numerator, Y_CAP.denominator)
+    orbit = [_hpoint(x0, y0)]
     for k, letter in enumerate(cycle.word):
         q = orbit[-1]
-        if not lo <= q.y <= hi:
-            raise CycleInfeasible(f"orbit height {q.y} leaves [{lo}, {hi}] at step {k}")
-        if q.y != _level_height(skew.m_bound, cycle.levels[k]):
+        height = q[1:]
+        if _cmp_pow2(height, cap, -2 * m) < 0 or _cmp_pow2(height, cap, 0) > 0:
+            raise CycleInfeasible(
+                f"orbit height {Fraction(*height)} leaves [{lo}, {hi}] at step {k}"
+            )
+        if _cmp_pow2(height, cap, cycle.levels[k] - m):
             raise CycleInfeasible(f"orbit height drifts from the level path at step {k}")
-        if not piece_for[letter].domain.contains(q):
+        if not piece_for[letter].domain._contains(q):
             raise CycleInfeasible(f"orbit leaves the letter-{letter} piece at step {k}")
-        nxt = t.evaluate(q)
-        if nxt.y != q.y * Fraction(2) ** (2 * letter - 1):
+        nxt = t._step(q)
+        if _cmp_pow2(nxt[1:], height, 2 * letter - 1):
             raise CycleInfeasible(f"height multiplier is not 2^(±1) at step {k}")
         orbit.append(nxt)
     if orbit[-1] != orbit[0]:
         raise CycleInfeasible("orbit fails to close after one period")
-    return tuple(orbit[:-1])
+    return tuple(map(_to_fraction, orbit[:-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,15 @@ instead of one per arithmetic operation.  Polygons are canonicalized
 (counter-clockwise, no repeated or collinear vertices), so equality and
 hashing behave like value semantics.  Fractions appear only on the
 public surface (points, areas, `AffineMap.linear`/`translation`).
+`ConvexPolygon.contains`, `SlabIndex.locate` and `AffineMap.apply` are
+thin wrappers that convert a point once (`_hpoint_of`) and call their
+triple forms `_contains`, `_locate` and `_apply`, which the orbit paths
+of `pam.mapmodel`, `pam.symbolic` and `pam.entropy` call directly.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Union
@@ -125,6 +128,12 @@ def _hpoint(x: Fraction, y: Fraction) -> _HPoint:
     return (x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w)
 
 
+def _hpoint_of(point) -> _HPoint:
+    """The triple of a public point: the one conversion into the integer
+    layer (TypeError on floats, like `Point.of`)."""
+    return _hpoint(_rat(point[0]), _rat(point[1]))
+
+
 def _hreduce(*v: int) -> tuple:
     """The unique representative of a homogeneous integer vector: gcd 1
     and a positive last entry (the weight W of a point, G of a map)."""
@@ -134,6 +143,17 @@ def _hreduce(*v: int) -> tuple:
     if g != 1:
         return tuple([c // g for c in v])
     return v
+
+
+def _cmp_pow2(a: tuple, b: tuple, e: int) -> int:
+    """The sign of a − 2^e·b for rationals given as (num, den), den > 0:
+    one cross-multiplication and one shift, no Fraction."""
+    lhs, rhs = a[0] * b[1], b[0] * a[1]
+    if e >= 0:
+        rhs <<= e
+    else:
+        lhs <<= -e
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def _hcross(p: _HPoint, q: _HPoint) -> tuple:
@@ -278,7 +298,10 @@ class ConvexPolygon:
 
     def contains(self, point: Point) -> bool:
         """Closed-set membership (boundary counts as inside)."""
-        return _inside(self._edge_lines(), *_hpoint(_rat(point[0]), _rat(point[1])))
+        return self._contains(_hpoint_of(point))
+
+    def _contains(self, h: _HPoint) -> bool:
+        return _inside(self._edge_lines(), *h)
 
     def edges(self):
         """Yield vertex pairs (p_i, p_{i+1}) around the boundary."""
@@ -350,7 +373,9 @@ class SlabIndex:
     whose closed y-range meets it.  A query bisects its height once and
     runs the closed half-plane test on that list only, so `locate`
     returns what a scan of every polygon would: the lowest index whose
-    closed polygon contains the point, or None.
+    closed polygon contains the point, or None.  Heights are kept as
+    integer (numerator, denominator) pairs and compared with a query's
+    triple by cross-multiplication.
     """
 
     __slots__ = ("_heights", "_cells")
@@ -362,7 +387,8 @@ class SlabIndex:
             ys = [Fraction(y, w) for _, y, w in poly._h]
             heights.update(ys)
             ranges.append((min(ys), max(ys), poly._edge_lines()))
-        self._heights = sorted(heights)
+        ordered = sorted(heights)
+        self._heights = tuple((h.numerator, h.denominator) for h in ordered)
 
         def meeting(lo, hi):
             return tuple(
@@ -372,23 +398,32 @@ class SlabIndex:
         # cell 2k + 1 is the line y = heights[k], cell 2k the open slab
         # just below it; nothing lies below the lowest or above the highest
         cells = [()]
-        for k, h in enumerate(self._heights):
+        for k, h in enumerate(ordered):
             if k:
-                cells.append(meeting(self._heights[k - 1], h))
+                cells.append(meeting(ordered[k - 1], h))
             cells.append(meeting(h, h))
         cells.append(())
         self._cells = tuple(cells)
 
     def locate(self, point: Point) -> Optional[int]:
-        x, y = _rat(point[0]), _rat(point[1])
+        return self._locate(_hpoint_of(point))
+
+    def _locate(self, h: _HPoint) -> Optional[int]:
+        _, y, w = h
         heights = self._heights
-        k = bisect_left(heights, y)
-        cell = self._cells[2 * k + (k < len(heights) and heights[k] == y)]
-        if cell:
-            hx, hy, hw = _hpoint(x, y)
-            for i, lines in cell:
-                if _inside(lines, hx, hy, hw):
-                    return i
+        # bisect_left: k is the number of heights below y = Y/W
+        k, hi = 0, len(heights)
+        while k < hi:
+            mid = (k + hi) // 2
+            num, den = heights[mid]
+            if num * w < y * den:
+                k = mid + 1
+            else:
+                hi = mid
+        on_line = k < len(heights) and heights[k][0] * w == y * heights[k][1]
+        for i, lines in self._cells[2 * k + on_line]:
+            if _inside(lines, *h):
+                return i
         return None
 
 
@@ -526,11 +561,12 @@ class AffineMap:
         return (Fraction(e, g), Fraction(f, g))
 
     def apply(self, p: Point) -> Point:
-        x, y, w = _hpoint(_rat(p[0]), _rat(p[1]))
+        return _to_fraction(self._apply(_hpoint_of(p)))
+
+    def _apply(self, h: _HPoint) -> _HPoint:
+        x, y, w = h
         a, b, e, c, d, f, g = self._m
-        return Point(
-            Fraction(a * x + b * y + e * w, g * w), Fraction(c * x + d * y + f * w, g * w)
-        )
+        return _hreduce(a * x + b * y + e * w, c * x + d * y + f * w, g * w)
 
     def __call__(self, p: Point) -> Point:
         return self.apply(p)

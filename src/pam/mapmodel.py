@@ -40,6 +40,8 @@ from .geometry import (
     GeometryError,
     Point,
     SlabIndex,
+    _hpoint_of,
+    _to_fraction,
     affine_from_point_pairs,
     clip,
     format_rational,
@@ -301,16 +303,25 @@ class PiecewiseAffineMap:
         heights (so user maps get one too) narrows the half-plane tests
         to the pieces whose height range meets the point's height: for
         the bundled map 6, 12, 12 and 6 of the 31 pieces in its four
-        slabs, and 6 for every point of a drift orbit."""
-        i = self._slabs.locate(point)
+        slabs, and 6 for every point of a drift orbit.  The point is
+        converted once to a homogeneous integer triple; its height is
+        bisected and its half-plane tests run on that triple.  `evaluate`
+        and the orbit builders of `pam.symbolic` and `pam.entropy` locate
+        the same way, through `_step`."""
+        return self._piece_at(_hpoint_of(point))
+
+    def _piece_at(self, h) -> Tuple[int, AffinePiece]:
+        i = self._slabs._locate(h)
         if i is None:
-            x, y = Fraction(point[0]), Fraction(point[1])
-            raise OutsideDomain(f"point {Point(x, y)} is not in the domain")
+            raise OutsideDomain(f"point {_to_fraction(h)} is not in the domain")
         return i, self.pieces[i]
 
+    def _step(self, h):
+        """The image of the homogeneous point `h`, as a reduced triple."""
+        return self._piece_at(h)[1].map._apply(h)
+
     def evaluate(self, point: Point) -> Point:
-        _, piece = self.piece_at(point)
-        return piece.map(point)
+        return _to_fraction(self._step(_hpoint_of(point)))
 
     def __call__(self, point: Point) -> Point:
         return self.evaluate(point)

@@ -37,7 +37,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .geometry import AffineMap, ConvexPolygon, Point, clip
+from .geometry import (
+    AffineMap,
+    ConvexPolygon,
+    Point,
+    _cmp_pow2,
+    _hpoint_of,
+    _rat,
+    _to_fraction,
+    clip,
+)
 from .mapmodel import NonInvertiblePiece, OutsideDomain, PiecewiseAffineMap, UnknownLabel
 
 __all__ = [
@@ -89,9 +98,12 @@ class CodingTriangles:
     p1: ConvexPolygon
 
     def classify(self, p: Point) -> Optional[int]:
-        if self.p0.contains(p):
+        return self._classify(_hpoint_of(p))
+
+    def _classify(self, h) -> Optional[int]:
+        if self.p0._contains(h):
             return 0
-        if self.p1.contains(p):
+        if self.p1._contains(h):
             return 1
         return None
 
@@ -108,7 +120,7 @@ def coding_triangles(
     return CodingTriangles(mode, *labels, t.region(labels[0]), t.region(labels[1]))
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
@@ -137,7 +149,10 @@ def iterate(
     """Exact orbit p, T(p), ..., T^n(p) with signs and coding letters.
 
     `triangles` defaults to the corrected coding triangles of `t`; a map
-    that does not name their vertices codes every point as None.
+    that does not name their vertices codes every point as None.  The
+    orbit runs on reduced homogeneous integer triples (X, Y, W), W > 0:
+    the start is converted once, and Fractions are built once per point
+    for the record.
     """
     if n < 0:
         raise ValueError("orbit length must be nonnegative")
@@ -146,16 +161,18 @@ def iterate(
             triangles = coding_triangles(t)
         except UnknownLabel:
             pass
-    points = [Point(Fraction(p[0]), Fraction(p[1]))]
-    if not t.domain.contains(points[0]):
-        raise OutsideDomain(f"point {points[0]} is not in the domain")
+    h = _hpoint_of(p)
+    if not t.domain._contains(h):
+        raise OutsideDomain(f"point {_to_fraction(h)} is not in the domain")
+    hs = [h]
     for _ in range(n):
-        points.append(t.evaluate(points[-1]))
+        hs.append(t._step(hs[-1]))
     if triangles is None:
-        coding = (None,) * len(points)
+        coding = (None,) * len(hs)
     else:
-        coding = tuple(triangles.classify(q) for q in points)
-    return OrbitRecord(tuple(points), tuple(_sign(q.x) for q in points), coding)
+        coding = tuple(map(triangles._classify, hs))
+    signs = tuple(_sign(x) for x, _, _ in hs)
+    return OrbitRecord(tuple(map(_to_fraction, hs)), signs, coding)
 
 
 # ---------------------------------------------------------------------------
@@ -488,17 +505,16 @@ def drift_check(
         p = record.points[k]
         if record.signs[k] == 0:
             raise OrbitLeftRegion(k, f"point {p} sits on the coding boundary x = 0")
-        if not (zones[0].contains(p) or zones[1].contains(p)):
+        h = _hpoint_of(p)
+        if not (zones[0]._contains(h) or zones[1]._contains(h)):
             raise OrbitLeftRegion(k, f"point {p} left the {region} coding region")
 
+    ys = [(p.y.numerator, p.y.denominator) for p in record.points]
     exponent = sum(record.signs[:n])
-    inequality = all(
-        record.points[k + 1].y >= record.points[k].y * Fraction(2) ** record.signs[k]
-        for k in range(n)
-    )
+    inequality = all(_cmp_pow2(ys[k + 1], ys[k], record.signs[k]) >= 0 for k in range(n))
     identity: Optional[bool]
     if region == "core":
-        identity = record.points[n].y == record.points[0].y * Fraction(2) ** exponent
+        identity = _cmp_pow2(ys[n], ys[0], exponent) == 0
     else:
         identity = None
     return DriftVerdict(n, exponent, identity, inequality)
@@ -518,16 +534,20 @@ def confined_start(word, r_end: Fraction = Fraction(1, 3)) -> Point:
     letters = _as_word(word)
     if not letters:
         raise ValueError("word must be nonempty")
-    r = Fraction(r_end)
+    r = _rat(r_end)
     if not -1 < r < 1:
         raise ValueError("r_end must be strictly inside (-1, 1)")
+    # r stays num/den, den = r_end's denominator times 20^k after k letters
+    num, den = r.numerator, r.denominator
     for letter in reversed(letters):
-        r = (r - 19) / 20 if letter == 0 else (19 - r) / 20
+        num = num - 19 * den if letter == 0 else 19 * den - num
+        den *= 20
     increments = [1 if letter else -1 for letter in letters]
     peak = 0
     drift = 0
     for inc in increments[:-1]:
         drift += inc
         peak = max(peak, drift)
-    y0 = Fraction(1, 2) * Fraction(2) ** (-peak - 1)
-    return Point(r * y0, y0)
+    # y0 = (1/2)·2^-(peak + 1): no level before the last rises above 1/4
+    shift = peak + 2
+    return Point(Fraction(num, den << shift), Fraction(1, 1 << shift))

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import hashlib
 import os
 import shutil
 import subprocess
@@ -10,12 +11,14 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pam.cli import MAX_CYLINDER_DEPTH, MAX_ORBIT_DEPTH, main
+from pam.cli import MAX_CYLINDER_DEPTH, MAX_ENTROPY_M, MAX_ORBIT_DEPTH, main
+from pam.entropy import sigma_entropy
 from pam.geometry import Point, format_rational
 from pam.mapmodel import standard_definition_text, standard_map
 from pam.symbolic import CylinderCensus
@@ -401,6 +404,24 @@ def test_orbit_with_an_unprintable_coordinate_prints_nothing(capsys):
     assert err.startswith("error: step ") and err.count("\n") == 1
 
 
+# stdout SHA-256 under PAM_SEED=0, pinned so that any change to the
+# exact orbit table or to the drift report shows, down to a byte
+PINNED_STDOUT = [
+    (["orbit", "3/7", "1/3", "--depth", "2000"],
+     "37ccf83680101e21c28475b9674dff5c9192786ef37c5bc8588820ada0b3f2c8"),
+    (["cylinders", "--depth", "7", "--samples", "50", "--orbit-length", "100"],
+     "7ad9a4823d616a8470914b485f127f455a59bee2bc27f150a0a1991af9bb3045"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=["orbit", "cylinders"])
+def test_stdout_is_byte_identical_to_the_pinned_digest(capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv("PAM_SEED", "0")
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 # -- cylinders ---------------------------------------------------------------
 
 
@@ -504,6 +525,34 @@ def test_entropy_rejects_bad_delta(capsys):
 def test_entropy_rejects_bad_max_M(capsys):
     code, _, err = run(capsys, ["entropy", "--max-M", "-3"])
     assert code == 3
+
+
+@pytest.mark.parametrize("max_m", [3001, 1000000000])
+def test_entropy_max_M_above_the_ceiling_builds_no_row(capsys, monkeypatch, max_m):
+    def row(*args, **kwargs):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr("pam.cli.escape_stats", row)
+    code, out, err = run(capsys, ["entropy", "--max-M", str(max_m)])
+    assert (code, out) == (3, "")
+    assert err == f"usage error: --max-M {max_m} is above the ceiling of {MAX_ENTROPY_M}\n"
+
+
+def test_entropy_max_M_at_the_ceiling_runs(capsys, monkeypatch):
+    # a stand-in row: the real table at the ceiling takes seconds
+    def row(m, deltas):
+        return SimpleNamespace(entropy=sigma_entropy(m), p_below=tuple((d, 0.5) for d in deltas))
+
+    monkeypatch.setattr("pam.cli.escape_stats", row)
+    code, out, _ = run(capsys, ["entropy", "--max-M", str(MAX_ENTROPY_M)])
+    assert code == 0
+    assert out.splitlines()[MAX_ENTROPY_M].startswith(f"{MAX_ENTROPY_M}\t{2 * MAX_ENTROPY_M + 1}\t")
+
+
+def test_entropy_help_names_the_ceiling(capsys):
+    code, out, _ = run(capsys, ["entropy", "--help"])
+    assert code == 0
+    assert f"at most {MAX_ENTROPY_M}" in " ".join(out.split())
 
 
 # -- render ------------------------------------------------------------------

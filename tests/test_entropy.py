@@ -14,6 +14,7 @@ from pam.mapmodel import standard_map
 from pam.symbolic import coding_triangles, iterate
 from pam.entropy import (
     ConstructionEmpty,
+    Cycle,
     CycleInfeasible,
     block_entropy,
     build_skew,
@@ -270,6 +271,27 @@ def test_embed_period_four():
     rec = iterate(T, orbit[0], 4, TRI)
     assert rec.points[-1] == orbit[0]
     assert rec.coding[:4] == cycle.word
+
+
+@pytest.mark.parametrize(
+    "start, height",
+    # M = 1: the levels -1, 0, 1 sit at heights 1/8, 1/4, 1/2
+    [(2, "1"), (-2, "1/16")],
+)
+def test_embed_rejects_a_start_height_outside_the_levels(start, height):
+    # hand-built: make_cycle refuses a start level outside |s| <= M
+    cycle = Cycle((0, 1), start, (start, start - 1, start))
+    with pytest.raises(CycleInfeasible) as err:
+        embed_orbit(T, build_skew(1), cycle)
+    assert str(err.value) == f"orbit height {height} leaves [1/8, 1/2] at step 0"
+
+
+def test_embed_rejects_a_level_path_the_orbit_does_not_follow():
+    # letter 0 halves the height, so step 1 sits at level -1, not 0
+    cycle = Cycle((0, 1), 0, (0, 0, 0))
+    with pytest.raises(CycleInfeasible) as err:
+        embed_orbit(T, build_skew(1), cycle)
+    assert str(err.value) == "orbit height drifts from the level path at step 1"
 
 
 @pytest.mark.parametrize("m_bound", [1, 2, 3, 4])

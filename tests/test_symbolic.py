@@ -9,12 +9,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pam.geometry import AffineMap, ConvexPolygon, Matrix2, Point, clip, region_difference, symdiff_area
-from pam.mapmodel import OutsideDomain, build_map, parse_definition, standard_map
+from pam.mapmodel import OutsideDomain, UnknownLabel, build_map, parse_definition, standard_map
 from pam.symbolic import (
     CODING_MODES,
     CodingTriangles,
     CylinderChain,
     OrbitLeftRegion,
+    OrbitRecord,
     census,
     coding_triangles,
     confined_start,
@@ -25,8 +26,10 @@ from pam.symbolic import (
     max_fiber_width,
     _Branches,
     _max_chord,
+    _sign,
 )
 from test_geometry import triangles
+from test_mapmodel import LOCATION_MAPS, _scan, probes
 
 T = standard_map()
 TRI = coding_triangles(T)
@@ -109,6 +112,44 @@ def test_iterate_rejects_bad_input():
         iterate(T, Point(F(5), F(5)), 1)
     with pytest.raises(ValueError):
         iterate(T, S, -1)
+
+
+def test_orbit_builders_refuse_floats():
+    # a float would start the orbit from its binary expansion, e.g.
+    # 3602879701896397/36028797018963968 for 0.1
+    with pytest.raises(TypeError, match="refusing float"):
+        iterate(T, (0.1, 0.5), 2)
+    with pytest.raises(TypeError, match="refusing float"):
+        confined_start("01", 0.3)
+
+
+def _replay_step(m, p):
+    """One map step from the lowest-index piece of a linear scan and the
+    Fraction form L·p + t of its map."""
+    f = m.pieces[_scan(m, p)].map
+    lin, (tx, ty) = f.linear, f.translation
+    return Point(lin.a * p.x + lin.b * p.y + tx, lin.c * p.x + lin.d * p.y + ty)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_iterate_matches_a_fraction_replay(data):
+    m = data.draw(st.sampled_from(LOCATION_MAPS))
+    p = data.draw(probes(m))
+    n = data.draw(st.integers(0, 12))
+    points = [p]
+    for _ in range(n):
+        points.append(_replay_step(m, points[-1]))
+    try:
+        tri = coding_triangles(m)
+    except UnknownLabel:  # a map without the coding names codes nothing
+        coding = (None,) * (n + 1)
+    else:
+        coding = tuple(tri.classify(q) for q in points)
+    rec = iterate(m, p, n)
+    assert rec.points == tuple(points)
+    assert rec.signs == tuple(_sign(q.x) for q in points)
+    assert rec.coding == coding
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +387,17 @@ def test_drift_wide_region_inequality_only():
     assert rec.points[1].y == F(3, 4)
     with pytest.raises(OrbitLeftRegion):
         drift_check(T, rec, region="core")
+
+
+def test_drift_check_reports_a_failed_law():
+    # hand-built: both points lie in C^cD^cS with x > 0, but the height
+    # stays put instead of doubling
+    p = Point(F(19, 80), F(1, 4))
+    rec = OrbitRecord((p, p), (1, 1), (1, 1))
+    verdict = drift_check(T, rec)
+    assert (verdict.steps, verdict.exponent) == (1, 1)
+    assert verdict.inequality_holds is False
+    assert verdict.identity_holds is False
 
 
 def test_drift_rejects_boundary_and_strays():
