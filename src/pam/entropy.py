@@ -10,7 +10,8 @@ Three layers live here:
 
 * counting — `block_entropy` for balanced blocks, `word_count` /
   `sigma_entropy` for the bounded-walk language and its growth rate,
-  both in closed form on the 2M+1-vertex path that carries the walk
+  and `escape_stats` for the heights of its maximal-entropy (Parry) law,
+  all in closed form on the 2M+1-vertex path that carries the walk
   (exact path-walk counts; Perron root 2cos(π/(2M+2)));
 
 * the finite extension — `build_skew` produces the walk automaton whose
@@ -41,7 +42,6 @@ from .mapmodel import PiecewiseAffineMap
 
 __all__ = [
     "EntropyError",
-    "ConstructionEmpty",
     "CycleInfeasible",
     "block_entropy",
     "word_count",
@@ -70,10 +70,6 @@ Y_CAP = Fraction(1, 2)
 
 class EntropyError(Exception):
     """Base class for entropy-lab failures."""
-
-
-class ConstructionEmpty(EntropyError):
-    """A transfer structure came out with no states (defensive)."""
 
 
 class CycleInfeasible(EntropyError):
@@ -212,8 +208,6 @@ def build_skew(m_bound: int) -> SkewSystem:
     if m_bound < 1:
         raise ValueError("need M >= 1")
     states = tuple(range(-m_bound, m_bound + 1))
-    if not states:
-        raise ConstructionEmpty("no skew states")
     transitions = {}
     for s in states:
         for letter in (0, 1):
@@ -269,9 +263,7 @@ def _primitive(word: Tuple[int, ...]) -> bool:
     return True
 
 
-def enumerate_cycles(
-    skew: SkewSystem, max_period: int, limit: Optional[int] = None
-) -> List[Cycle]:
+def enumerate_cycles(skew: SkewSystem, max_period: int) -> List[Cycle]:
     """Primitive admissible cycles ordered by period, word, start level."""
     out: List[Cycle] = []
     for p in range(2, max_period + 1, 2):
@@ -284,8 +276,6 @@ def enumerate_cycles(
                     out.append(make_cycle(skew, word, start))
                 except CycleInfeasible:
                     continue
-                if limit is not None and len(out) >= limit:
-                    return out
     return out
 
 
@@ -535,9 +525,15 @@ class StationaryStats:
 
     m_bound: int
     entropy: float
-    distribution: Tuple[float, ...]  # over levels −M..M
     p_below: Tuple[Tuple[float, float], ...]  # (δ, P(y < δ))
     expected_log2_y: float
+
+    @property
+    def distribution(self) -> Tuple[float, ...]:
+        """The law over levels −M..M: sin²(k·π/(2M+2))/(M+1), k = 1..2M+1."""
+        angle = _angle(self.m_bound)
+        total = self.m_bound + 1
+        return tuple(math.sin(k * angle) ** 2 / total for k in range(1, 2 * total))
 
 
 def _levels_below(delta: float) -> int:
@@ -546,40 +542,49 @@ def _levels_below(delta: float) -> int:
     return exponent - 2 if mantissa == 0.5 else exponent - 1
 
 
+def _x_minus_sin(x: float) -> float:
+    """x − sin x, summed from its Taylor series below 1, where it cancels."""
+    if x >= 1:
+        return x - math.sin(x)
+    term, total = x, 0.0
+    for j in range(1, 11):
+        term *= -x * x / ((2 * j) * (2 * j + 1))
+        total -= term
+    return total
+
+
 def escape_stats(m_bound: int, deltas: Iterable[float] = (1e-3,)) -> StationaryStats:
     """Stationary law of the maximal-entropy chain, pushed to heights.
 
-    The transfer structure is the symmetric path, so the stationary
-    probability of a level is the square of its Perron-vector entry,
-    sin²(k·π/(2M+2)) for k = 1..2M+1, normalized.  Level s sits at height
-    y = y_cap·2^(s−M) = 2^e with the integer exponent e = s − M − 1, so
-    P(y < δ) is a threshold on levels and E[log2 y] needs no float y.
+    The law is the squared Perron vector of the path: sin²(kθ)/(M+1),
+    θ = π/(2M+2), on level k = 1..2M+1 at height 2^(k−2M−2), so the K
+    levels below δ are counted exactly from δ's binary exponent.  P(y < δ)
+    is the partial sum Σ_{k≤K} sin²(kθ) = K/2 − sin(Kθ)cos((K+1)θ)/(2 sin θ)
+    over M+1, written (h(nθ) − n·h(θ))/(4 sin θ), n = 2K+1, h(x) = x − sin x,
+    to keep small sums to relative precision; the law is symmetric, so the
+    larger side is one minus the smaller.  E[log₂ y] = −(M+1), the log-height
+    of the middle level.  A row costs O(1) per δ.
     """
     angle = _angle(m_bound)
     size = 2 * m_bound + 1
-    weights = [math.sin(k * angle) ** 2 for k in range(1, size + 1)]
-    total = math.fsum(weights)
-    dist = [w / total for w in weights]
-    if abs(math.fsum(dist) - 1.0) > 1e-12:
-        raise EntropyError("stationary distribution failed to normalize")
-    if any(p < 0 for p in dist):
-        raise EntropyError("stationary distribution has a negative entry")
     entropy = sigma_entropy(m_bound)
     if entropy > LOG2 + 1e-12:
         raise EntropyError("entropy exceeded log 2")
 
-    # list index i = 0..2M (level s = i − M) has exponent e = i − 2M − 1;
-    # the levels with y < δ are the indices below `cut`
-    exponents = range(-size, 0)
+    norm = 4 * (m_bound + 1) * math.sin(angle)
+
+    def mass(k: int) -> float:  # of the k lowest (or highest) levels
+        n = 2 * k + 1
+        return (_x_minus_sin(n * angle) - n * _x_minus_sin(angle)) / norm
+
     p_below = []
     for delta in map(float, deltas):
-        cut = _levels_below(delta) + size + 1 if delta > 0 else 0
-        p_below.append((delta, math.fsum(dist[: max(cut, 0)])))
-    expected = math.fsum(p * e for p, e in zip(dist, exponents))
+        below = min(max(_levels_below(delta) + size + 1, 0), size) if delta > 0 else 0
+        above = size - below
+        p_below.append((delta, mass(below) if below < above else 1.0 - mass(above)))
     return StationaryStats(
         m_bound=m_bound,
         entropy=entropy,
-        distribution=tuple(dist),
         p_below=tuple(p_below),
-        expected_log2_y=expected,
+        expected_log2_y=float(-(m_bound + 1)),
     )

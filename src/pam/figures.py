@@ -33,6 +33,10 @@ FIGURE_IDS = (
     "left-right-image",
 )
 
+# line widths in plane units: piece outlines, and highlighted regions
+_STROKE_WIDTH = 0.008
+_BOLD_WIDTH = 0.032
+
 
 class UnknownFigure(Exception):
     """Requested figure id is not one of the published figures."""
@@ -40,20 +44,16 @@ class UnknownFigure(Exception):
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """What to draw and how heavy to ink it."""
+    """What to draw, and whether to label it."""
 
     figure_id: str
     labels: bool = True
-    stroke_width: float = 0.008
-    bold_width: float = 0.032
 
     def __post_init__(self):
         if self.figure_id not in FIGURE_IDS:
             raise UnknownFigure(
                 f"unknown figure {self.figure_id!r}; pick from {', '.join(FIGURE_IDS)}"
             )
-        if self.stroke_width <= 0 or self.bold_width <= 0:
-            raise ValueError("stroke widths must be positive")
 
 
 def _fmt(value) -> str:
@@ -144,7 +144,7 @@ def _draw_partition(svg: _Svg, t: PiecewiseAffineMap, spec: FigureSpec, muted=Fa
     svg.open_group("pieces")
     for idx, piece in enumerate(t.pieces):
         fill = "#f4f4f4" if muted else _PALETTE[idx % len(_PALETTE)]
-        svg.polygon(piece.domain, fill, "#5a5a5a", spec.stroke_width)
+        svg.polygon(piece.domain, fill, "#5a5a5a", _STROKE_WIDTH)
     svg.close_group()
     if spec.labels and not muted:
         svg.open_group("piece-labels")
@@ -171,18 +171,14 @@ def _fig_partition(svg, t, spec):
 
 
 def _fig_preimage_new(svg, t, spec):
-    from .verifier import _preimage_parts
-
     _draw_partition(svg, t, spec, muted=True)
-    _, preimage, _, _ = _preimage_parts(t)
+    top = t.region("NEW")
     svg.open_group("target")
-    svg.polygon(t.region("NEW"), "#fee391", "#8a6d00", spec.stroke_width, opacity=0.45)
+    svg.polygon(top, "#fee391", "#8a6d00", _STROKE_WIDTH, opacity=0.45)
     svg.close_group()
     svg.open_group("preimage")
-    for part in preimage:
-        svg.polygon(
-            part, "#c6dbef", "#08306b", spec.bold_width, opacity=0.6, klass="bold"
-        )
+    for part in t.region_preimage(top):
+        svg.polygon(part, "#c6dbef", "#08306b", _BOLD_WIDTH, opacity=0.6, klass="bold")
     svg.close_group()
     if spec.labels:
         svg.text(0, 1.62, "the top triangle and its full preimage", size=0.07)
@@ -200,15 +196,13 @@ def _fig_strips(svg, t, spec):
     for piece in t.pieces:
         band = _strip_band(piece)
         idx = bands.setdefault(band, len(bands))
-        svg.polygon(
-            piece.domain, _PALETTE[idx % len(_PALETTE)], "#5a5a5a", spec.stroke_width
-        )
+        svg.polygon(piece.domain, _PALETTE[idx % len(_PALETTE)], "#5a5a5a", _STROKE_WIDTH)
     svg.close_group()
     svg.open_group("band-lines")
     for height in (Fraction(1, 4), Fraction(1, 2), Fraction(4, 5), 1, Fraction(3, 2)):
         y = Fraction(height)
         half = Fraction(3, 2) * min(y, 2 - y)  # domain edge at this height
-        svg.line(-half, y, half, y, "#b02020", spec.stroke_width, dashed=True)
+        svg.line(-half, y, half, y, "#b02020", _STROKE_WIDTH, dashed=True)
         if spec.labels:
             svg.text(float(half) + 0.05, float(y), f"y = {height}", size=0.055, anchor="start")
     svg.close_group()
@@ -228,11 +222,11 @@ def _fig_region_pair(svg, t, spec, key: str, image: bool):
         if image:
             svg.open_group(f"image-{label}")
             for part in t.region_image(region):
-                svg.polygon(part, color, color, spec.bold_width, opacity=0.35, klass="bold")
+                svg.polygon(part, color, color, _BOLD_WIDTH, opacity=0.35, klass="bold")
             svg.close_group()
         else:
             svg.open_group(f"region-{label}")
-            svg.polygon(region, color, color, spec.bold_width, opacity=0.35, klass="bold")
+            svg.polygon(region, color, color, _BOLD_WIDTH, opacity=0.35, klass="bold")
             svg.close_group()
         if spec.labels:
             cx, cy = _centroid(region)
@@ -262,7 +256,7 @@ def render_figure(t: PiecewiseAffineMap, spec) -> str:
         spec = FigureSpec(spec)
     svg = _Svg(spec.figure_id)
     svg.open_group("domain")
-    svg.polygon(t.domain, "none", "#101010", spec.stroke_width * 1.5)
+    svg.polygon(t.domain, "none", "#101010", _STROKE_WIDTH * 1.5)
     svg.close_group()
     _BUILDERS[spec.figure_id](svg, t, spec)
     return svg.document()

@@ -14,10 +14,11 @@ instead of one per arithmetic operation.  Polygons are canonicalized
 (counter-clockwise, no repeated or collinear vertices), so equality and
 hashing behave like value semantics.  Fractions appear only on the
 public surface (points, areas, `AffineMap.linear`/`translation`).
-`ConvexPolygon.contains`, `SlabIndex.locate` and `AffineMap.apply` are
-thin wrappers that convert a point once (`_hpoint_of`) and call their
-triple forms `_contains`, `_locate` and `_apply`, which the orbit paths
-of `pam.mapmodel`, `pam.symbolic` and `pam.entropy` call directly.
+`ConvexPolygon.contains` and `AffineMap.apply` are thin wrappers that
+convert a point once (`_hpoint_of`) and call their triple forms
+`_contains` and `_apply`.  The orbit paths of `pam.mapmodel`,
+`pam.symbolic` and `pam.entropy` call the triple forms directly, and
+locate pieces with `SlabIndex._locate`, which takes a triple too.
 """
 
 from __future__ import annotations
@@ -371,7 +372,7 @@ class SlabIndex:
     horizontal lines and the open slabs between them.  Each line and
     each slab keeps, in ascending order, the indices of the polygons
     whose closed y-range meets it.  A query bisects its height once and
-    runs the closed half-plane test on that list only, so `locate`
+    runs the closed half-plane test on that list only, so `_locate`
     returns what a scan of every polygon would: the lowest index whose
     closed polygon contains the point, or None.  Heights are kept as
     integer (numerator, denominator) pairs and compared with a query's
@@ -404,9 +405,6 @@ class SlabIndex:
             cells.append(meeting(h, h))
         cells.append(())
         self._cells = tuple(cells)
-
-    def locate(self, point: Point) -> Optional[int]:
-        return self._locate(_hpoint_of(point))
 
     def _locate(self, h: _HPoint) -> Optional[int]:
         _, y, w = h

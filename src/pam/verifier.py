@@ -130,7 +130,7 @@ class PropertyReport:
 
     property_id: str
     title: str
-    status: str  # "pass" | "fail" | "pass-with-deviation"
+    status: str  # "pass" | "fail"
     witnesses: Tuple[str, ...] = ()
     notes: Tuple[str, ...] = ()
 
@@ -146,7 +146,6 @@ class _Check:
         self.witnesses: List[str] = []
         self.notes: List[str] = []
         self.failed = False
-        self.deviated = False
 
     def expect(self, ok: bool, witness: str, counterexample: str = ""):
         if ok:
@@ -163,16 +162,10 @@ class _Check:
         self.notes.append(text)
 
     def report(self, property_id: str, title: str) -> PropertyReport:
-        if self.failed:
-            status = "fail"
-        elif self.deviated:
-            status = "pass-with-deviation"
-        else:
-            status = "pass"
         return PropertyReport(
             property_id,
             title,
-            status,
+            "fail" if self.failed else "pass",
             tuple(self.witnesses),
             tuple(self.notes),
         )
@@ -601,7 +594,7 @@ def analyze_WAS(t: PiecewiseAffineMap, chk: _Check) -> None:
         f"midpoint of [W^c S] = {midpoint} is fixed",
     )
 
-    _, preimage, _, _ = _preimage_parts(t)
+    preimage = t.region_preimage(t.region("NEW"))
     pocket = t.region("WW^tA^tA")
     swallowed = _pieces_inside(t, pocket)
     names = ", ".join(p.name for p in swallowed)

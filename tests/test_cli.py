@@ -11,14 +11,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pam.cli import MAX_CYLINDER_DEPTH, MAX_ENTROPY_M, MAX_ORBIT_DEPTH, main
-from pam.entropy import sigma_entropy
 from pam.geometry import Point, format_rational
 from pam.mapmodel import standard_definition_text, standard_map
 from pam.symbolic import CylinderCensus
@@ -161,6 +159,17 @@ def test_non_standard_map_names_the_missing_label(capsys, tmp_path, subcommand):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("UnknownLabel: the map has no ")
+
+
+def test_preimage_figure_on_a_map_without_the_predicted_regions(capsys, tmp_path):
+    # the figure needs only NEW and its preimage, not the three regions
+    # that 07-preimage-new predicts
+    path = tmp_path / "identity.map"
+    path.write_text(SQUARE_IDENTITY)
+    code, out, err = run(capsys, ["render", "--figure", "preimage-NEW", "--map", str(path)])
+    assert (code, err) == (0, "")
+    preimage = ET.fromstring(out).find("{http://www.w3.org/2000/svg}g[@id='preimage']")
+    assert len(preimage) == 2  # NEW itself, cut by the two identity pieces
 
 
 def test_orbit_on_a_map_without_the_coding_names(capsys, tmp_path):
@@ -411,10 +420,12 @@ PINNED_STDOUT = [
      "37ccf83680101e21c28475b9674dff5c9192786ef37c5bc8588820ada0b3f2c8"),
     (["cylinders", "--depth", "7", "--samples", "50", "--orbit-length", "100"],
      "7ad9a4823d616a8470914b485f127f455a59bee2bc27f150a0a1991af9bb3045"),
+    (["entropy", "--max-M", "64", "--delta", "1e-4,1e-2,0.3"],
+     "b0db5531bf225eff581229bbf76983119bc337ad1aaf78c88571fa0eac4defb5"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=["orbit", "cylinders"])
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=["orbit", "cylinders", "entropy"])
 def test_stdout_is_byte_identical_to_the_pinned_digest(capsys, monkeypatch, argv, digest):
     monkeypatch.setenv("PAM_SEED", "0")
     code, out, _ = run(capsys, argv)
@@ -538,15 +549,26 @@ def test_entropy_max_M_above_the_ceiling_builds_no_row(capsys, monkeypatch, max_
     assert err == f"usage error: --max-M {max_m} is above the ceiling of {MAX_ENTROPY_M}\n"
 
 
-def test_entropy_max_M_at_the_ceiling_runs(capsys, monkeypatch):
-    # a stand-in row: the real table at the ceiling takes seconds
-    def row(m, deltas):
-        return SimpleNamespace(entropy=sigma_entropy(m), p_below=tuple((d, 0.5) for d in deltas))
-
-    monkeypatch.setattr("pam.cli.escape_stats", row)
+def test_entropy_max_M_at_the_ceiling_runs(capsys):
     code, out, _ = run(capsys, ["entropy", "--max-M", str(MAX_ENTROPY_M)])
     assert code == 0
-    assert out.splitlines()[MAX_ENTROPY_M].startswith(f"{MAX_ENTROPY_M}\t{2 * MAX_ENTROPY_M + 1}\t")
+    lines = out.splitlines()
+    assert lines[MAX_ENTROPY_M].startswith(f"{MAX_ENTROPY_M}\t{2 * MAX_ENTROPY_M + 1}\t")
+    assert lines[MAX_ENTROPY_M + 1 : MAX_ENTROPY_M + 4] == [
+        "entropy strictly increasing: yes",
+        "entropy below log 2: yes",
+        "escape columns nondecreasing: yes",
+    ]
+
+
+def test_entropy_columns_holding_every_level_read_one(capsys):
+    # for δ > 1/2 every level lies below δ; the column is exactly 1, so
+    # float noise cannot make it fall from one row to the next
+    code, out, _ = run(capsys, ["entropy", "--delta", "0.6,1,2"])
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()[1:33]]
+    assert all(row[4:] == ["1", "1", "1"] for row in rows)
+    assert "escape columns nondecreasing: yes" in out
 
 
 def test_entropy_help_names_the_ceiling(capsys):

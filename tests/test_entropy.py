@@ -1,5 +1,6 @@
 """Tests for the bounded-walk entropy lab and the exact orbit embeddings."""
 
+import bisect
 import math
 import os
 import subprocess
@@ -13,7 +14,6 @@ import pam
 from pam.mapmodel import standard_map
 from pam.symbolic import coding_triangles, iterate
 from pam.entropy import (
-    ConstructionEmpty,
     Cycle,
     CycleInfeasible,
     block_entropy,
@@ -356,6 +356,63 @@ def test_conjugacy_probe_documents_the_mismatch():
 
 # ---------------------------------------------------------------------------
 # escape of mass
+
+
+def reference_p_below(m_bound, deltas):
+    """P(y < δ) from the whole normalized law, summed level by level with
+    fsum: the per-row computation the closed form replaced."""
+    angle = math.pi / (2 * m_bound + 2)
+    size = 2 * m_bound + 1
+    weights = [math.sin(k * angle) ** 2 for k in range(1, size + 1)]
+    total = math.fsum(weights)
+    dist = [w / total for w in weights]
+    # level k (1-based) sits at height 2^(k - size - 1)
+    heights = [math.ldexp(1.0, k - size - 1) for k in range(1, size + 1)]
+    return [math.fsum(dist[: bisect.bisect_left(heights, delta)]) for delta in deltas]
+
+
+def level_deltas(m_bound):
+    """Every level height 2^(k - 2M - 2), its float neighbours, and a few
+    thresholds above and below all levels."""
+    out = [0.0, -1.0, 1e-4, 1e-3, 1e-2, 0.3, 0.75, 1.0, 2.0]
+    for k in range(1, 2 * m_bound + 2):
+        height = 2.0 ** (k - 2 * m_bound - 2)
+        out += [height, math.nextafter(height, 0.0), math.nextafter(height, 1.0)]
+    return out
+
+
+@pytest.mark.parametrize("m_bound", range(1, 65))
+def test_escape_closed_form_prints_the_reference_digits(m_bound):
+    deltas = level_deltas(m_bound)
+    stats = escape_stats(m_bound, deltas)
+    assert [d for d, _ in stats.p_below] == deltas
+    got = [format(p, ".12g") for _, p in stats.p_below]
+    want = [format(p, ".12g") for p in reference_p_below(m_bound, deltas)]
+    assert got == want
+    assert stats.expected_log2_y == -(m_bound + 1)
+
+
+@pytest.mark.parametrize("m_bound", [65, 100, 333, 1000, 2267, 3000])
+def test_escape_closed_form_tracks_the_reference_at_large_M(m_bound):
+    # heights below about 2^-1074 underflow to 0.0, so only the top
+    # thousand levels can be told apart by a float δ
+    deltas = [d for d in level_deltas(m_bound) if d == 0.0 or d >= 2.0**-1000]
+    stats = escape_stats(m_bound, deltas)
+    for (_, got), want in zip(stats.p_below, reference_p_below(m_bound, deltas)):
+        assert abs(got - want) <= 1e-12
+    assert stats.expected_log2_y == -(m_bound + 1)
+
+
+def test_escape_small_masses_keep_relative_precision():
+    # the lowest level alone weighs sin²(θ)/(M+1), θ = π/(2M+2): the
+    # closed form must not lose it to cancellation against K/2
+    for m_bound in (42, 64, 500):
+        angle = math.pi / (2 * m_bound + 2)
+        lowest = 2.0 ** (-2 * m_bound - 1)
+        for k, delta in enumerate((lowest, 2 * lowest, 4 * lowest), start=1):
+            (_, got), = escape_stats(m_bound, (delta,)).p_below
+            want = math.fsum(math.sin(j * angle) ** 2 for j in range(1, k)) / (m_bound + 1)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_escape_stats_three_level_law():

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from pam.figures import FIGURE_IDS, FigureSpec, UnknownFigure, render_figure
+from pam.figures import _BOLD_WIDTH, FIGURE_IDS, FigureSpec, UnknownFigure, render_figure
 from pam.mapmodel import standard_map
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -49,13 +49,6 @@ def test_unknown_figure_rejected():
         render_figure(T, "heatmap")
 
 
-def test_bad_stroke_widths_rejected():
-    with pytest.raises(ValueError):
-        FigureSpec("partition", stroke_width=0.0)
-    with pytest.raises(ValueError):
-        FigureSpec("partition", bold_width=-1.0)
-
-
 def test_partition_has_one_labeled_polygon_per_piece():
     root = ET.fromstring(render("partition"))
     pieces = root.find(f"{SVG}g[@id='pieces']")
@@ -83,9 +76,8 @@ def test_preimage_figure_bolds_the_preimage():
     root = ET.fromstring(doc)
     bold = [el for el in root.iter(f"{SVG}polygon") if el.get("class") == "bold"]
     assert bold, "preimage parts must be drawn bold"
-    spec = FigureSpec("preimage-NEW")
     widths = {float(el.get("stroke-width")) for el in bold}
-    assert widths == {spec.bold_width}
+    assert widths == {_BOLD_WIDTH}
 
 
 @pytest.mark.parametrize("fid,labels", [("folding", ("BOS", "OSC")),

@@ -66,6 +66,12 @@ def test_vertex_table_values():
         assert vt[name] == Point(x, y), name
 
 
+def test_bundled_definition_lists_the_generated_vertices():
+    # the data file's vertex table is the homothety construction, exactly
+    parsed = parse_definition(standard_definition_text())
+    assert parsed.vertices == generate_vertices().points
+
+
 def test_vertex_table_shape():
     vt = generate_vertices()
     # 7 base + N + S, then rows of 4, 4, 7, 2
