@@ -120,6 +120,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _orbit_length(text: str) -> int:
+    # sampled orbit words have at least two letters
+    value = _positive_int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2: {text}")
+    return value
+
+
 def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -348,8 +356,8 @@ def _build_parser() -> _Parser:
                         f" at most {MAX_CYLINDER_DEPTH})")
     p.add_argument("--samples", type=_positive_int, default=32, metavar="N",
                    help="random confined orbits to drift-check (default 32)")
-    p.add_argument("--orbit-length", type=_positive_int, default=40, metavar="N",
-                   help="maximum sampled orbit length (default 40)")
+    p.add_argument("--orbit-length", type=_orbit_length, default=40, metavar="N",
+                   help="maximum sampled orbit length, at least 2 (default 40)")
     p.set_defaults(func=cmd_cylinders)
 
     p = sub.add_parser("entropy", help="entropy ladder and escape-of-mass table")

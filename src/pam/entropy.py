@@ -194,14 +194,36 @@ class SkewSystem:
 
     def extension_check(self, max_n: int) -> bool:
         """Projection language equals the bounded-walk language, checked
-        exhaustively on all words up to length max_n."""
-        for n in range(1, max_n + 1):
-            for word in itertools.product((0, 1), repeat=n):
-                lifted = self.fiber_size(word) > 0
-                counted = any(self.admits(word, s) for s in self.states)
-                if lifted != counted:
+        exhaustively on all words of length 1..max_n.
+
+        One depth-first descent of the binary word tree: each node extends
+        its parent by one letter and carries the walk's (pos, lo, hi),
+        which decides whether the word lifts (fiber_size > 0), and the set
+        of levels still alive from some start level, stepped through
+        `self.transitions`, which decides whether the automaton admits it.
+        Every word is still compared, each prefix is stepped once:
+        O(2^(n+1)·(2M+1)) set steps.  False at the first mismatch.
+        """
+        if max_n < 1:
+            raise ValueError("need n >= 1")
+        size = len(self.states)
+        succ = {
+            letter: {s: t for (s, c), t in self.transitions.items() if c == letter}
+            for letter in (0, 1)
+        }
+
+        def descend(n: int, pos: int, lo: int, hi: int, alive: frozenset) -> bool:
+            for letter, step in succ.items():
+                p = pos + 2 * letter - 1
+                l, h = min(lo, p), max(hi, p)
+                live = frozenset(step[s] for s in alive if s in step)
+                if (h - l < size) != bool(live):
                     return False
-        return True
+                if n < max_n and not descend(n + 1, p, l, h, live):
+                    return False
+            return True
+
+        return descend(1, 0, 0, 0, frozenset(self.states))
 
 
 def build_skew(m_bound: int) -> SkewSystem:

@@ -477,6 +477,19 @@ def test_cylinders_depth_above_the_ceiling_starts_no_descent(capsys, monkeypatch
     assert err == f"usage error: --depth {depth} is above the ceiling of {MAX_CYLINDER_DEPTH}\n"
 
 
+@pytest.mark.parametrize("length", ["1", "0"])
+def test_cylinders_orbit_length_below_two_starts_no_work(capsys, monkeypatch, length):
+    def started(*args):
+        raise AssertionError("the map loaded or the census started")
+
+    monkeypatch.setattr("pam.cli._load_map", started)
+    monkeypatch.setattr("pam.cli.census", started)
+    code, out, err = run(capsys, ["cylinders", "--depth", "2", "--orbit-length", length])
+    assert (code, out) == (3, "")
+    assert err.startswith("usage error: argument --orbit-length: ")
+    assert err.count("\n") == 1
+
+
 def test_cylinders_depth_at_the_ceiling_runs(capsys, monkeypatch, no_seed):
     # a stand-in census: the real one at the ceiling takes seconds
     def census(t, n, triangles):

@@ -1,6 +1,7 @@
 """Tests for the bounded-walk entropy lab and the exact orbit embeddings."""
 
 import bisect
+import itertools
 import math
 import os
 import subprocess
@@ -16,6 +17,7 @@ from pam.symbolic import coding_triangles, iterate
 from pam.entropy import (
     Cycle,
     CycleInfeasible,
+    SkewSystem,
     block_entropy,
     build_skew,
     conjugacy_probe,
@@ -196,6 +198,46 @@ def test_skew_totality(m_bound):
 @pytest.mark.parametrize("m_bound", [1, 2, 3, 4])
 def test_skew_projection_language(m_bound):
     assert build_skew(m_bound).extension_check(9)
+
+
+def _extension_reference(skew, max_n):
+    """The per-word check: every word, every start level, from scratch."""
+    return all(
+        (skew.fiber_size(w) > 0) == any(skew.admits(w, s) for s in skew.states)
+        for n in range(1, max_n + 1)
+        for w in itertools.product((0, 1), repeat=n)
+    )
+
+
+def _deletion_mutants(m_bound):
+    skew = build_skew(m_bound)
+    for key in skew.transitions:
+        transitions = {k: v for k, v in skew.transitions.items() if k != key}
+        yield key, SkewSystem(m_bound, skew.states, transitions)
+
+
+@pytest.mark.parametrize("m_bound", [1, 2, 3, 4])
+def test_extension_check_matches_per_word_reference(m_bound):
+    skew = build_skew(m_bound)
+    for n in range(1, 9):
+        assert skew.extension_check(n) is _extension_reference(skew, n) is True
+    for key, mutant in _deletion_mutants(m_bound):
+        assert mutant.extension_check(8) is _extension_reference(mutant, 8) is False, key
+
+
+@pytest.mark.parametrize("m_bound", [1, 2, 3])
+def test_extension_check_catches_a_wrap_around(m_bound):
+    # the top level's up-step lands on the bottom level instead of vanishing
+    skew = build_skew(m_bound)
+    transitions = {**skew.transitions, (m_bound, 1): -m_bound}
+    mutant = SkewSystem(m_bound, skew.states, transitions)
+    assert mutant.extension_check(8) is _extension_reference(mutant, 8) is False
+
+
+@pytest.mark.parametrize("max_n", [0, -1])
+def test_extension_check_needs_a_positive_length(max_n):
+    with pytest.raises(ValueError, match="need n >= 1"):
+        build_skew(2).extension_check(max_n)
 
 
 def test_fiber_sizes():

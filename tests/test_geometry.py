@@ -10,6 +10,7 @@ from pam.geometry import (
     GeometryError,
     Matrix2,
     Point,
+    SlabIndex,
     Surd,
     affine_from_point_pairs,
     clip,
@@ -20,6 +21,7 @@ from pam.geometry import (
     region_area,
     region_difference,
     symdiff_area,
+    _hpoint,
 )
 
 
@@ -249,9 +251,16 @@ class TestEigen2:
 # ---------------------------------------------------------------------------
 # property tests
 
-rationals = st.fractions(
-    min_value=-8, max_value=8, max_denominator=12
-)
+
+def _zigzag_rational(den, k):
+    # k = 0, 1, 2, 3, 4, ... gives numerators 0, 1, -1, 2, -2, ..., so
+    # shrinking heads to 0 and to denominator 1
+    k %= 16 * den + 1
+    return F((k + 1) // 2 if k % 2 else -(k // 2), den)
+
+
+# every p/q with |p/q| <= 8 and q <= 12, without st.fractions' costly validation
+rationals = st.builds(_zigzag_rational, st.integers(1, 12), st.integers(0, 16 * 12))
 
 
 def _points(n):
@@ -328,6 +337,17 @@ def test_areas_match_inclusion_exclusion(ts, us):
     b = us + ts[:1]
     assert symdiff_area(ts, b) == _symdiff_area_reference(ts, b)
     assert region_area(region_difference(ts, b)) == _union_area_reference(ts + b) - _union_area_reference(b)
+
+
+@given(st.lists(triangles, min_size=1, max_size=4), _points(2))
+def test_slab_index_finds_the_lowest_containing_polygon(ts, pts):
+    # vertices and edge midpoints sit on the index's slab lines and on
+    # polygon boundaries, where an off-by-one in the bisection shows
+    probes = pts + [p for t in ts for a, b in t.edges() for p in (a, (a + b).scaled(F(1, 2)))]
+    index = SlabIndex(ts)
+    for p in probes:
+        want = next((i for i, t in enumerate(ts) if t.contains(p)), None)
+        assert index._locate(_hpoint(p.x, p.y)) == want
 
 
 # Fraction references for AffineMap: entries (a, b, c, d, e, f) stand for
